@@ -2,10 +2,13 @@
 
 Times the hot paths of the reproduction — cheap feature extraction, batched
 detection, and end-to-end execution of the four query classes — once through
-the scalar per-frame reference implementations and once through the
-vectorized/batched pipeline, on fixed-seed synthetic videos.  Both paths must
-produce bit-for-bit identical results; the wall-clock ratio is the recorded
-speedup.  Results are written to ``BENCH_perf.json`` at the repo root.
+the scalar per-frame reference and once through the vectorized/batched
+pipeline, on fixed-seed synthetic videos.  The scalar side computes features
+with the test suite's oracle (``tests/oracles.py``) and runs its queries with
+``QueryHints(batch_size=1)``, so every detector call covers one frame.  Both
+sides must produce bit-for-bit identical results; the wall-clock ratio is the
+recorded speedup.  Results are written to ``BENCH_perf.json`` at the repo
+root.
 
 Run standalone (not via pytest)::
 
@@ -30,9 +33,11 @@ try:
     import repro  # noqa: F401
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 import numpy as np
 
+from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
@@ -40,6 +45,7 @@ from repro.persist import atomic_write_text
 from repro.specialization.trainer import TrainingConfig
 from repro.video.scenarios import generate_scenario
 
+from oracles import ReferenceFeatureVideo
 from reporting import print_table
 
 #: The scenario timed by every entry: the densest of the six streams, so the
@@ -80,16 +86,15 @@ def fingerprint(kind: str, result) -> tuple:
 def build_engine(num_frames: int, batched: bool) -> BlazeIt:
     """A fully registered engine over fresh fixed-seed videos of ``SCENARIO``.
 
-    ``batched`` selects the execution mode: the vectorized pipeline, or the
-    scalar per-frame reference (``batched_execution=False`` plus the scalar
-    feature path on every split).  Videos are regenerated per engine so each
+    ``batched`` selects the videos' feature path: the columnar kernel, or
+    the scalar oracle on every split (the caller pairs the latter with
+    ``batch_size=1`` sessions).  Videos are regenerated per engine so each
     mode starts with cold feature caches.
     """
     config = BlazeItConfig(
         training=TrainingConfig(epochs=3, batch_size=16, min_examples=32),
         min_training_positives=50,
         specialized_model_type="mlp",
-        batched_execution=batched,
         seed=0,
     )
     splits = {
@@ -97,8 +102,7 @@ def build_engine(num_frames: int, batched: bool) -> BlazeIt:
         for split in ("train", "heldout", "test")
     }
     if not batched:
-        for video in splits.values():
-            video.use_vectorized_features = False
+        splits = {split: ReferenceFeatureVideo.of(v) for split, v in splits.items()}
     engine = BlazeIt(detector=SimulatedDetector.mask_rcnn(), config=config)
     engine.register_video(
         "v",
@@ -112,9 +116,9 @@ def build_engine(num_frames: int, batched: bool) -> BlazeIt:
 def time_feature_extraction(num_frames: int) -> dict:
     """Cold full-video feature extraction, scalar loop vs columnar kernel."""
     indices = np.arange(num_frames)
-    scalar_video = generate_scenario(SCENARIO, "test", num_frames)
+    scalar_video = ReferenceFeatureVideo.of(generate_scenario(SCENARIO, "test", num_frames))
     started = time.perf_counter()
-    scalar = scalar_video.frame_features_reference(indices)
+    scalar = scalar_video.frame_features(indices)
     scalar_seconds = time.perf_counter() - started
     batched_video = generate_scenario(SCENARIO, "test", num_frames)
     started = time.perf_counter()
@@ -134,7 +138,8 @@ def time_query_class(kind: str, num_frames: int) -> dict:
 
     Each mode runs against its own freshly built engine (cold feature and
     detection caches), with the same fixed RNG stream, and must produce
-    bit-for-bit identical results.
+    bit-for-bit identical results.  The scalar mode verifies one frame per
+    chunk (``batch_size=1``).
     """
     from repro.video.scenarios import get_scenario
 
@@ -143,7 +148,8 @@ def time_query_class(kind: str, num_frames: int) -> dict:
     outputs = {}
     for mode, batched in (("scalar", False), ("batched", True)):
         engine = build_engine(num_frames, batched)
-        session = engine.session(video="v")
+        hints = None if batched else QueryHints(batch_size=1)
+        session = engine.session(video="v", hints=hints)
         prepared = session.prepare(query)
         started = time.perf_counter()
         result = prepared.execute(rng=np.random.default_rng(0))

@@ -2,9 +2,10 @@
 ``ExecutionContext``.
 
 Every frame the reproduction "pays for" must be charged to the runtime
-ledger, and the only sanctioned charging paths are
-``ExecutionContext.detect`` / ``detect_batch`` / ``detect_counts*`` (plus
-the detector implementations themselves).  A direct
+ledger, and the only sanctioned charging path is
+``ExecutionContext.detect_batch`` (which ``detect`` and
+``detect_counts_batch`` route through), plus the detector implementations
+themselves.  A direct
 ``detector.detect(...)``, ``.detect_many(...)``, or ``._detect_batch(...)``
 call anywhere else silently produces detections the cost model never
 sees, which corrupts both the throughput numbers and the cross-path

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
     from repro.index.view import IndexView
     from repro.obs.trace import Tracer
     from repro.parallel.cache import SharedDetectionCache
-    from repro.parallel.executor import DetectionPrefetcher
+    from repro.parallel.executor import ShardDriver
     from repro.video.synthetic import Track, VideoSpec
 
 
@@ -101,7 +101,7 @@ class ExecutionContext:
     #: executor transport and are stitched in driver-side.
     tracer: "Tracer | None" = field(default=None, repr=False)
     _features_cache: np.ndarray | None = field(default=None, repr=False)
-    _prefetcher: "DetectionPrefetcher | None" = field(default=None, repr=False)
+    _prefetcher: "ShardDriver[Any] | None" = field(default=None, repr=False)
 
     def bind_rng(self, rng: np.random.Generator) -> ExecutionContext:
         """Attach the RNG stream for the next execution and return ``self``.
@@ -147,7 +147,7 @@ class ExecutionContext:
             _features_cache=None,
         )
 
-    def with_prefetcher(self, prefetcher: "DetectionPrefetcher") -> ExecutionContext:
+    def with_prefetcher(self, prefetcher: "ShardDriver[Any]") -> ExecutionContext:
         """Attach a detection prefetcher (driver side of parallel execution)."""
         self._prefetcher = prefetcher
         return self
@@ -189,7 +189,7 @@ class ExecutionContext:
 
         A no-op on sequential executions; under parallel execution this is
         the signal that starts the shard workers prefetching (see
-        :meth:`repro.parallel.executor.DetectionPrefetcher.announce`).
+        :meth:`repro.parallel.executor.ShardDriver.announce`).
         Plans call it exactly when their candidate order becomes known — a
         scan range, a sampling permutation, an importance ranking.
         """
@@ -206,45 +206,9 @@ class ExecutionContext:
     ) -> DetectionResult:
         """Run (or replay) object detection on one test-day frame.
 
-        ``cost_scale`` reduces the charged cost when a spatial filter has
-        cropped the frame.  When ``ledger`` is an
-        :class:`~repro.metrics.runtime.ExecutionLedger`, detections computed
-        earlier in the same execution are served from its per-frame cache
-        without re-calling (or re-charging) the detector; frames present in
-        the process-wide shared cache are likewise served — and seeded into
-        the execution cache — without any charge.
+        A batch of one: see :meth:`detect_batch` for the tiers and charging.
         """
-        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        if execution_ledger is not None:
-            cached = execution_ledger.cached_detection(frame_index)
-            if cached is not None:
-                execution_ledger.record_cache_hit()
-                return cached
-        if self.shared_cache is not None:
-            shared = self.shared_cache.get(self.cache_key, frame_index)
-            if shared is not None:
-                if execution_ledger is not None:
-                    execution_ledger.stash_detection(frame_index, shared)
-                    execution_ledger.record_cache_hit()
-                return shared
-        if self.index_view is not None:
-            indexed = self.index_view.get(frame_index)
-            if indexed is not None:
-                result, skipped = indexed
-                if execution_ledger is not None:
-                    execution_ledger.stash_index_detection(
-                        frame_index, result, skipped
-                    )
-                    execution_ledger.record_cache_hit()
-                return result
-        if ledger is not None:
-            ledger.charge(self._scaled_cost(cost_scale))
-        result = self._compute_detection(frame_index)
-        if execution_ledger is not None:
-            execution_ledger.record_detection(frame_index, result)
-        if self.shared_cache is not None:
-            self.shared_cache.put(self.cache_key, frame_index, result)
-        return result
+        return self.detect_batch([frame_index], ledger, cost_scale)[0]
 
     def detect_batch(
         self,
@@ -254,110 +218,78 @@ class ExecutionContext:
     ) -> list[DetectionResult]:
         """Run (or replay) detection on a batch of frames, charging once.
 
-        The batched counterpart of :meth:`detect`, with identical results and
-        identical per-frame accounting: the indices are partitioned into
-        cache hits (served from the :class:`ExecutionLedger` detection cache
-        and counted as hits), shared-cache hits (seeded into the execution
-        cache free of charge) and misses; the misses are computed in one
-        vectorized :meth:`~repro.detection.base.ObjectDetector.detect_many`
-        call (or read from the recording, or taken from the parallel
-        prefetch pipeline), and the ledger is charged with a single
-        ``charge(cost, count=misses)``.  Repeated frames within the batch
-        are computed once; under an execution ledger the repeats are
-        accounted as cache hits, exactly as a sequential ``detect`` loop
-        would (the shared semantics live in
-        :func:`~repro.detection.base.resolve_detection_batch`).  With
-        ``config.batched_execution`` disabled this falls back to that
-        sequential scalar loop.
+        The single detection resolver.  Each frame is served by the first
+        tier that has it:
+
+        1. the :class:`ExecutionLedger` per-execution cache (a cache hit);
+        2. the process-wide shared cache, then the persistent index — both
+           uncharged (see :meth:`_serve_uncharged`);
+        3. the parallel prefetch pipeline, the recording, or the detector's
+           vectorized :meth:`~repro.detection.base.ObjectDetector.detect_many`
+           — charged to ``ledger`` with a single ``charge(cost, count)``,
+           scaled by ``cost_scale`` when a spatial filter cropped the frame,
+           and written back to the shared cache.
+
+        Repeated frames within the batch are computed once; under an
+        execution ledger the repeats are accounted as cache hits, exactly as
+        a sequence of single-frame calls would be (the shared semantics live
+        in :func:`~repro.detection.base.resolve_detection_batch`).
         """
         indices = np.asarray(frame_indices, dtype=np.int64)
-        if not self.config.batched_execution:
-            return [
-                self.detect(int(i), ledger, cost_scale=cost_scale) for i in indices
-            ]
         execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        if execution_ledger is not None and self.shared_cache is not None:
-            self._seed_shared_hits(indices, execution_ledger)
-        if execution_ledger is not None and self.index_view is not None:
-            self._seed_index_hits(indices, execution_ledger)
+        served = self._serve_uncharged(indices, execution_ledger)
 
         def compute_misses(miss_frames: list[int]) -> list[DetectionResult]:
-            shared: dict[int, DetectionResult] = {}
-            if execution_ledger is None and self.shared_cache is not None:
-                # With no execution ledger there is no per-execution cache to
-                # seed, so shared hits are resolved (uncharged) right here.
-                shared = self.shared_cache.get_many(self.cache_key, miss_frames)
-            if execution_ledger is None and self.index_view is not None:
-                for frame_index in miss_frames:
-                    if frame_index in shared:
-                        continue
-                    indexed = self.index_view.get(frame_index)
-                    if indexed is not None:
-                        shared[frame_index] = indexed[0]
-            charged = [f for f in miss_frames if f not in shared]
-            if ledger is not None:
+            charged = [f for f in miss_frames if f not in served]
+            if ledger is not None and charged:
                 ledger.charge(self._scaled_cost(cost_scale), len(charged))
             computed = dict(zip(charged, self._compute_batch(charged), strict=True))
             if self.shared_cache is not None and computed:
                 self.shared_cache.put_many(self.cache_key, computed)
-            computed.update(shared)
+            computed.update(served)
             return [computed[f] for f in miss_frames]
 
         return resolve_detection_batch(indices, execution_ledger, compute_misses)
 
-    def _seed_shared_hits(
-        self, indices: np.ndarray, execution_ledger: ExecutionLedger
-    ) -> None:
-        """Stash shared-cache hits into the execution cache before resolving.
+    def _serve_uncharged(
+        self, indices: np.ndarray, execution_ledger: ExecutionLedger | None
+    ) -> dict[int, DetectionResult]:
+        """Look frames up in the uncharged tiers: shared cache, then index.
 
-        The resolver then serves them as ordinary (free) cache hits, keeping
-        the scalar and batched accounting identical.
+        Each distinct frame not already in the execution cache is looked up
+        once.  The index serves exact persisted detector output — decoded
+        from its memory-mapped segment, or synthesized when the range sketch
+        proves the range empty.  Under an execution ledger the hits are
+        seeded into its cache (the resolver then counts them as cache hits)
+        and nothing is returned; without one they are returned for
+        :meth:`detect_batch` to serve directly.
         """
-        assert self.shared_cache is not None
+        if self.shared_cache is None and self.index_view is None:
+            return {}
         unseen = [
-            int(f)
+            f
             for f in dict.fromkeys(int(i) for i in indices)
-            if execution_ledger.cached_detection(int(f)) is None
+            if execution_ledger is None or execution_ledger.cached_detection(f) is None
         ]
-        if not unseen:
-            return
-        for frame_index, result in self.shared_cache.get_many(
-            self.cache_key, unseen
-        ).items():
-            execution_ledger.stash_detection(frame_index, result)
-
-    def _seed_index_hits(
-        self, indices: np.ndarray, execution_ledger: ExecutionLedger
-    ) -> None:
-        """Stash index-served detections into the execution cache.
-
-        The index tier of :meth:`detect_batch`: frames still unseen after the
-        shared-cache seeding are served from the persistent index — decoded
-        from the memory-mapped segment, or synthesized when the range sketch
-        proves the range empty — and the resolver then counts them as free
-        cache hits, exactly like the scalar :meth:`detect` path.
-        """
-        assert self.index_view is not None
-        for frame_index in dict.fromkeys(int(i) for i in indices):
-            if execution_ledger.cached_detection(frame_index) is not None:
-                continue
-            indexed = self.index_view.get(frame_index)
-            if indexed is not None:
+        hits: dict[int, DetectionResult] = {}
+        if self.shared_cache is not None and unseen:
+            hits = self.shared_cache.get_many(self.cache_key, unseen)
+            if execution_ledger is not None:
+                for frame_index, result in hits.items():
+                    execution_ledger.stash_detection(frame_index, result)
+        if self.index_view is not None:
+            for frame_index in (f for f in unseen if f not in hits):
+                indexed = self.index_view.get(frame_index)
+                if indexed is None:
+                    continue
                 result, skipped = indexed
-                execution_ledger.stash_index_detection(frame_index, result, skipped)
-
-    def _compute_detection(self, frame_index: int) -> DetectionResult:
-        """Produce one frame's detections: prefetch, recording, or detector."""
-        if self._prefetcher is not None:
-            prefetched = self._prefetcher.take(frame_index)
-            if prefetched is not None:
-                return prefetched
-        if self.recorded is not None:
-            return self.recorded.result(frame_index)
-        return self.detector.detect(self.video, frame_index)
+                hits[frame_index] = result
+                if execution_ledger is not None:
+                    execution_ledger.stash_index_detection(frame_index, result, skipped)
+        return {} if execution_ledger is not None else hits
 
     def _compute_batch(self, miss_frames: list[int]) -> list[DetectionResult]:
-        """Batch counterpart of :meth:`_compute_detection` (same sources)."""
+        """Produce the charged frames: prefetch, recording, or detector."""
         if not miss_frames:
             return []
         prefetched: dict[int, DetectionResult] = {}
@@ -383,23 +315,6 @@ class ExecutionContext:
             name=cost.name, seconds_per_call=cost.seconds_per_call * cost_scale
         )
 
-    def detect_counts(
-        self,
-        frame_indices: np.ndarray,
-        object_class: str,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        """Detected counts of one class at the given frames, charging per call.
-
-        Scalar reference loop; the plans use :meth:`detect_counts_batch`.
-        """
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        counts = np.empty(indices.shape[0], dtype=np.float64)
-        for row, frame_index in enumerate(indices):
-            result = self.detect(int(frame_index), ledger)
-            counts[row] = result.count(object_class)
-        return counts
-
     def detect_counts_batch(
         self,
         frame_indices: np.ndarray,
@@ -415,71 +330,22 @@ class ExecutionContext:
         already in the execution cache keep their normal cache-hit accounting
         by routing through :meth:`detect_batch`.
         """
-        if self.index_view is None:
-            results = self.detect_batch(frame_indices, ledger)
-            return np.array(
-                [result.count(object_class) for result in results], dtype=np.float64
-            )
         indices = np.asarray(frame_indices, dtype=np.int64)
         execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        counts = np.zeros(indices.shape[0], dtype=np.float64)
-        needed_rows: list[int] = []
-        needed_frames: list[int] = []
-        skipped = 0
-        for row, frame_index in enumerate(indices):
-            frame = int(frame_index)
-            already_cached = (
-                execution_ledger is not None
-                and execution_ledger.cached_detection(frame) is not None
-            )
-            if not already_cached and self.index_view.class_count_zero(
-                frame, object_class
-            ):
-                skipped += 1
-                continue
-            needed_rows.append(row)
-            needed_frames.append(frame)
-        if skipped and execution_ledger is not None:
-            execution_ledger.record_index_skip(skipped)
-        if needed_frames:
-            results = self.detect_batch(
-                np.asarray(needed_frames, dtype=np.int64), ledger
-            )
-            for row, result in zip(needed_rows, results, strict=True):
-                counts[row] = result.count(object_class)
-        return counts
-
-    def satisfies_min_counts(
-        self,
-        frame_index: int,
-        min_counts: dict[str, int],
-        ledger: RuntimeLedger | None = None,
-    ) -> bool:
-        """Whether one frame satisfies a count conjunction, charging one call.
-
-        With a persistent index attached, a frame whose sketch range proves
-        the conjunction unsatisfiable (some class's per-frame maximum in the
-        range is below its minimum) is rejected without any decode or charge.
-        """
+        proven_zero = np.zeros(indices.shape[0], dtype=bool)
         if self.index_view is not None:
-            execution_ledger = (
-                ledger if isinstance(ledger, ExecutionLedger) else None
-            )
-            already_cached = (
-                execution_ledger is not None
-                and execution_ledger.cached_detection(frame_index) is not None
-            )
-            if not already_cached and self.index_view.fails_min_counts(
-                frame_index, min_counts
-            ):
-                if execution_ledger is not None:
-                    execution_ledger.record_index_skip()
-                return False
-        result = self.detect(frame_index, ledger)
-        return all(
-            result.count(object_class) >= min_count
-            for object_class, min_count in min_counts.items()
-        )
+            for row, frame_index in enumerate(indices.tolist()):
+                proven_zero[row] = (
+                    execution_ledger is None
+                    or execution_ledger.cached_detection(frame_index) is None
+                ) and self.index_view.class_count_zero(frame_index, object_class)
+            if execution_ledger is not None and proven_zero.any():
+                execution_ledger.record_index_skip(int(proven_zero.sum()))
+        counts = np.zeros(indices.shape[0], dtype=np.float64)
+        needed = np.flatnonzero(~proven_zero)
+        results = self.detect_batch(indices[needed], ledger)
+        counts[needed] = [result.count(object_class) for result in results]
+        return counts
 
     # -- cheap features ---------------------------------------------------------------
 

@@ -8,9 +8,8 @@ count, and the per-frame maximum, plus how many frames in the window contain
 detections the index serves at query time, its guarantees are proofs, not
 estimates:
 
-* ``frame_is_provably_empty`` / ``class_absent_at`` / ``fails_min_counts``
-  are exact — a ``True`` answer can never be contradicted by decoding the
-  frame;
+* ``frame_is_provably_empty`` / ``class_absent_at`` are exact — a ``True``
+  answer can never be contradicted by decoding the frame;
 * ``range_presence_rate`` / ``range_event_rate`` follow the cost model's
   validated upper-bound contract: the returned rate is ``>=`` the true rate
   over any ``[start, end)`` window (exact when the window aligns with range
@@ -139,23 +138,6 @@ class RangeSketch:
         if not 0 <= range_index < self.num_ranges:
             return False
         return int(self.total_count[range_index, column]) == 0
-
-    def fails_min_counts(
-        self, frame_index: int, min_counts: Mapping[str, int]
-    ) -> bool:
-        """``True`` when some class provably cannot reach its minimum."""
-        range_index = frame_index // self.range_size
-        for name, minimum in min_counts.items():
-            if minimum <= 0:
-                continue
-            column = self._column(name)
-            if column is None:
-                return True
-            if 0 <= range_index < self.num_ranges and (
-                int(self.max_count[range_index, column]) < int(minimum)
-            ):
-                return True
-        return False
 
     # -- upper-bound window rates (the sharder's contract) ---------------
 

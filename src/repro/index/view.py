@@ -13,17 +13,15 @@ Two serving modes, both provably identical to running the detector:
   (``timestamp = frame / fps`` matches ``SyntheticVideo.timestamp_of``
   bit-for-bit).
 
-The view also answers the sketch's exact per-frame proofs
-(:meth:`class_count_zero`, :meth:`fails_min_counts`) so count scans and
-min-count probes can skip provably-irrelevant frames without any decode —
-invariant I7: index evidence is an upper bound, skipping never changes
-results.
+The view also answers the sketch's exact per-frame class-absence proof
+(:meth:`class_count_zero`) so count scans can skip provably-irrelevant frames
+without any decode — invariant I7: index evidence is an upper bound, skipping
+never changes results.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 from typing import Any
 
 from repro.detection.base import DetectionResult
@@ -85,14 +83,6 @@ class IndexView:
         if not 0 <= frame_index < self.index.num_frames:
             return False
         return self.index.sketch.class_absent_at(frame_index, object_class)
-
-    def fails_min_counts(
-        self, frame_index: int, min_counts: Mapping[str, int]
-    ) -> bool:
-        """``True`` when the min-count conjunction is provably unsatisfiable."""
-        if not 0 <= frame_index < self.index.num_frames:
-            return False
-        return self.index.sketch.fails_min_counts(frame_index, min_counts)
 
     def counters(self) -> dict[str, int]:
         """Served/skipped frame counts since the view was attached."""

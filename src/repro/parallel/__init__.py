@@ -6,10 +6,12 @@ Three cooperating pieces (see the README's "Parallel execution" section):
   frame range into contiguous shards, annotated with per-shard event-rate
   estimates from the statistics catalog (dense shards scheduled first,
   provably-cold shards started lazily);
-* :mod:`repro.parallel.executor` — :class:`DetectionPrefetcher` runs one
-  worker thread per shard, each with its own execution context and RNG
-  stream, speculatively computing detections in the plan's announced access
-  order while the driver charges only what it consumes;
+* :mod:`repro.parallel.executor` — :class:`ShardDriver`, the driver side
+  of speculative prefetch: one worker per shard computes detections in the
+  plan's announced access order while the driver charges only what it
+  consumes.  :class:`DetectionPrefetcher` runs the workers as threads, each
+  with its own execution context and RNG stream
+  (:mod:`repro.parallel.process_executor` runs them as processes);
 * :mod:`repro.parallel.cache` — :class:`SharedDetectionCache`, the
   process-wide thread-safe LRU that lets repeated queries over hot videos
   skip detector calls entirely (``BlazeItConfig.shared_cache_bytes``).

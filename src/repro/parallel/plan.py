@@ -9,9 +9,10 @@ pipeline:
 1. a :class:`~repro.parallel.shards.VideoSharder` partitions the video using
    the statistics catalog's per-shard event rates for the query's classes
    (pruned shards start lazily, dense shards first);
-2. a :class:`~repro.parallel.executor.DetectionPrefetcher` runs one worker
-   per shard, each in its own execution context with an RNG stream spawned
-   from the execution's seed sequence keyed by shard id;
+2. a :class:`~repro.parallel.executor.ShardDriver` (worker threads, or
+   worker processes) runs one worker per shard; a thread worker computes in
+   its own execution context with an RNG stream spawned from the
+   execution's seed sequence keyed by shard id;
 3. a :class:`StreamMerger` interleaves the workers'
    :class:`~repro.core.events.ShardProgress` events with the plan's own
    stream, shuts the pool down the moment the terminal ``Completed`` event
@@ -30,7 +31,7 @@ from __future__ import annotations
 import queue
 import time
 from collections.abc import Iterator, Mapping
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from repro.frameql.analyzer import (
     ScrubbingQuerySpec,
     SelectionQuerySpec,
 )
-from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS, DetectionPrefetcher
+from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS, DetectionPrefetcher, ShardDriver
 from repro.parallel.shards import Shard, ShardPlan, VideoSharder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,7 +77,7 @@ class StreamMerger:
     """
 
     def __init__(
-        self, inner: Iterator[ExecutionEvent], prefetcher: DetectionPrefetcher
+        self, inner: Iterator[ExecutionEvent], prefetcher: ShardDriver[Any]
     ) -> None:
         self._inner = inner
         self._prefetcher = prefetcher
@@ -173,7 +174,7 @@ def parallel_events(
 
 def _finalized_events(
     merger: StreamMerger,
-    prefetcher: DetectionPrefetcher,
+    prefetcher: ShardDriver[Any],
     context: "ExecutionContext",
     shard_plan: ShardPlan,
     backend: str,
@@ -196,9 +197,7 @@ def _finalized_events(
     for event in merger.events():
         if isinstance(event, Completed):
             if tracer is not None:
-                worker_spans = getattr(prefetcher, "worker_spans", None)
-                if worker_spans is not None:
-                    tracer.attach_worker_spans(worker_spans())
+                tracer.attach_worker_spans(prefetcher.worker_spans())
             registry = get_registry()
             labels = {"backend": backend}
             registry.inc(
@@ -232,8 +231,8 @@ def _build_executor(
     control: ExecutionControl,
     window_chunks: int,
     backend: str,
-) -> DetectionPrefetcher:
-    """The shard executor for one backend (both satisfy the same protocol)."""
+) -> ShardDriver[Any]:
+    """The shard executor for one backend."""
     if backend == "processes":
         from repro.errors import SpawnExportError
         from repro.parallel.process_executor import ProcessShardExecutor
@@ -243,7 +242,7 @@ def _build_executor(
         except SpawnExportError:
             pass  # fall through to the thread backend
         else:
-            return ProcessShardExecutor(  # type: ignore[return-value]
+            return ProcessShardExecutor(
                 shard_plan=shard_plan,
                 context_spec=context_spec,
                 external_cancel=control.cancellation,

@@ -1,9 +1,9 @@
 """Process shard workers: speculative detection with shared-memory transport.
 
 :class:`ProcessShardExecutor` is the process-backed twin of the thread-based
-:class:`~repro.parallel.executor.DetectionPrefetcher`, duck-typing the same
-driver protocol (``announce`` / ``take`` / ``take_many`` / ``shutdown`` /
-``progress_events`` / ``frames_prefetched``) so
+:class:`~repro.parallel.executor.DetectionPrefetcher`: both build on the
+driver core :class:`~repro.parallel.executor.ShardDriver` (announce, take,
+progress events, prefetch counts), so
 :class:`~repro.core.context.ExecutionContext` needs no backend branches.  Use
 it when the detector *holds* the GIL per call (pure-Python compute, a badly
 behaved extension): thread workers then serialize while process workers each
@@ -34,26 +34,19 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.core.context import ContextSpec
-from repro.core.events import ShardProgress
 from repro.detection.columnar import decode_from_bytes, encode_to_bytes
-from repro.parallel.shards import Shard, ShardPlan
+from repro.parallel.executor import POLL_SECONDS, ShardDriver, ShardState
+from repro.parallel.shards import ShardPlan
 from repro.parallel.shm import SlotRing, attach_slots, detach_slots
 from repro.stopping import CancellationToken
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.detection.base import DetectionResult
-
 __all__ = ["ProcessShardExecutor", "ShardWorkerSpec"]
-
-#: Poll interval for cancel-aware blocking queue operations.
-_POLL_SECONDS = 0.05
 
 #: Grace period for worker processes to exit after the stop event is set
 #: before the driver escalates to ``terminate()``.
@@ -83,29 +76,23 @@ class ShardWorkerSpec:
 
 
 @dataclass
-class _ShardState:
-    """Driver-side bookkeeping for one shard's worker process."""
+class _ProcessShardState(ShardState):
+    """A shard's worker process and its shared-memory transport."""
 
-    shard: Shard
-    frames: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    position_of: dict[int, int] = field(default_factory=dict)
-    buffer: "dict[int, DetectionResult]" = field(default_factory=dict)
-    consumed: int = 0  # positions < consumed have been taken or passed
-    started: bool = False
-    finished: bool = False  # done sentinel seen, or worker found dead
     process: Any = None
     ring: SlotRing | None = None
     free_slots: Any = None  # mp.Queue[int]
     ready: Any = None  # mp.Queue[header tuple]
 
 
-class ProcessShardExecutor:
+class ProcessShardExecutor(ShardDriver[_ProcessShardState]):
     """Per-shard speculative detection in worker *processes*.
 
-    Satisfies the same protocol as
-    :class:`~repro.parallel.executor.DetectionPrefetcher`; built by
-    :func:`repro.parallel.plan.parallel_events` when the backend decision
-    (optimizer or explicit ``backend="processes"``) selects processes.
+    Built by :func:`repro.parallel.plan.parallel_events` when the backend
+    decision (optimizer or explicit ``backend="processes"``) selects
+    processes.  ``monotone`` announcements need no special case here — the
+    slot ring is itself the speculation window, and recycling keeps memory
+    bounded for full scans too.
     """
 
     def __init__(
@@ -117,108 +104,17 @@ class ProcessShardExecutor:
         window_chunks: int,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> None:
-        self.shard_plan = shard_plan
+        super().__init__(
+            shard_plan,
+            {shard.shard_id: _ProcessShardState(shard=shard) for shard in shard_plan.shards},
+            external_cancel,
+            chunk_size,
+            window_chunks,
+        )
         self.context_spec = context_spec
-        self.chunk_size = max(1, chunk_size)
-        self.window_chunks = max(1, window_chunks)
         self.slot_bytes = slot_bytes
-        self._external_cancel = external_cancel
         self._mp = multiprocessing.get_context("spawn")
         self._stop = self._mp.Event()
-        self._shutdown = CancellationToken()
-        self._states = {
-            shard.shard_id: _ShardState(shard=shard) for shard in shard_plan.shards
-        }
-        self._announced = False
-        self.progress_events: "queue.SimpleQueue[ShardProgress]" = queue.SimpleQueue()
-        #: Frames computed speculatively by workers (consumed or not), counted
-        #: driver-side as publication headers arrive.
-        self.frames_prefetched = 0
-        #: Per-shard span payloads shipped on the ``done`` sentinel; keyed by
-        #: shard id so a re-delivered sentinel cannot duplicate a span.
-        self._worker_spans: dict[int, dict[str, Any]] = {}
-
-    # -- driver-side protocol -------------------------------------------------------
-
-    def announce(
-        self, frame_order: np.ndarray | Iterable[int], monotone: bool = False
-    ) -> None:
-        """Declare the frame order the plan is about to verify.
-
-        Mirrors :meth:`DetectionPrefetcher.announce`: first announcement
-        wins, frames are split by shard ownership, and workers for non-pruned
-        shards start eagerly in density order.  ``monotone`` needs no special
-        case here — the slot ring is itself the speculation window, and
-        recycling keeps memory bounded for full scans too.
-        """
-        if self._announced or self._cancelled():
-            return
-        self._announced = True  # repro: allow[RPR003]: driver-thread-only state
-        order = np.asarray(
-            frame_order if isinstance(frame_order, np.ndarray) else list(frame_order),
-            dtype=np.int64,
-        )
-        shard_ids = self.shard_plan.owners_of(order)
-        for shard_id, state in self._states.items():
-            frames = order[shard_ids == shard_id]
-            state.frames = frames
-            state.position_of = {int(f): i for i, f in enumerate(frames)}
-        for shard in self.shard_plan.scheduling_order():
-            if not shard.pruned:
-                self._start_worker(self._states[shard.shard_id])
-
-    def take(self, frame_index: int) -> "DetectionResult | None":
-        """The prefetched detection for a frame, or ``None`` to compute inline.
-
-        Blocks while the owning worker is alive and still ahead of this
-        frame; returns ``None`` when the frame was never announced, was
-        already passed, the pipeline is shutting down, or the worker died —
-        callers fall back to a direct (charged) detector call.
-        """
-        if not self._announced:
-            return None
-        state = self._states[self.shard_plan.owner_of(int(frame_index)).shard_id]
-        position = state.position_of.get(int(frame_index))
-        if position is None or position < state.consumed:
-            return None
-        if not state.started:
-            self._start_worker(state)
-        while True:
-            result = state.buffer.get(int(frame_index))
-            if result is not None:
-                state.consumed = position + 1
-                self._purge_passed(state)
-                return result
-            if state.finished or self._cancelled():
-                return None
-            try:
-                header = state.ready.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                if state.process is not None and not state.process.is_alive():
-                    # Crashed or killed worker: one last drain attempt (the
-                    # feeder may have flushed after our timed-out get), then
-                    # finish the shard so the plan computes inline.
-                    try:
-                        header = state.ready.get_nowait()
-                    except queue.Empty:
-                        state.finished = True
-                        continue
-                else:
-                    continue
-            self._ingest(state, header)
-
-    def take_many(
-        self, frame_indices: Iterable[int]
-    ) -> "dict[int, DetectionResult]":
-        """Prefetched detections for a batch (hits only), in driver order."""
-        out: "dict[int, DetectionResult]" = {}
-        if not self._announced:
-            return out
-        for frame_index in frame_indices:
-            result = self.take(int(frame_index))
-            if result is not None:
-                out[int(frame_index)] = result
-        return out
 
     def shutdown(self) -> None:
         """Stop and reap every worker, then unlink every shm segment.
@@ -247,7 +143,7 @@ class ProcessShardExecutor:
             self._drain_done_sentinels(state)
             self._teardown_transport(state)
 
-    def _drain_done_sentinels(self, state: _ShardState) -> None:
+    def _drain_done_sentinels(self, state: _ProcessShardState) -> None:
         if state.ready is None:
             return
         while True:
@@ -258,25 +154,16 @@ class ProcessShardExecutor:
             if header[0] == "done":
                 self._note_done(state, header)
 
-    def worker_spans(self) -> "list[dict[str, Any]]":
-        """Span payloads of every reporting worker, in shard-id order.
-
-        Call after :meth:`shutdown`; a worker that died without its ``done``
-        sentinel (crash, SIGKILL) simply has no span — identity of the
-        surviving spans is unaffected (ids derive from shard ids).
-        """
-        return [self._worker_spans[k] for k in sorted(self._worker_spans)]
-
-    def _note_done(self, state: _ShardState, header: tuple) -> None:
+    def _note_done(self, state: _ProcessShardState, header: tuple[Any, ...]) -> None:
         state.finished = True
         # Arity-tolerant: old-style sentinels are ("done", computed); new
         # workers append their span payload as a third element.
         if len(header) > 2 and isinstance(header[2], dict):
             payload = dict(header[2])
             payload.setdefault("shard_id", state.shard.shard_id)
-            self._worker_spans[state.shard.shard_id] = payload
+            self._note_span(payload)
 
-    def _teardown_transport(self, state: _ShardState) -> None:
+    def _teardown_transport(self, state: _ProcessShardState) -> None:
         """Close the shard's queues and unlink its shm segments."""
         for q in (state.free_slots, state.ready):
             if q is not None:
@@ -288,18 +175,9 @@ class ProcessShardExecutor:
             state.ring.destroy()
             state.ring = None
 
-    # -- driver internals -----------------------------------------------------------
+    # -- transport ------------------------------------------------------------------
 
-    def _cancelled(self) -> bool:
-        return self._shutdown.is_set() or self._external_cancel.is_set()
-
-    def _start_worker(self, state: _ShardState) -> None:
-        if state.started:
-            return
-        state.started = True
-        if state.frames.size == 0 or self._cancelled():
-            state.finished = True
-            return
+    def _launch(self, state: _ProcessShardState) -> None:
         state.ring = SlotRing(
             state.shard.shard_id, self.window_chunks, self.slot_bytes
         )
@@ -334,7 +212,23 @@ class ProcessShardExecutor:
             self._teardown_transport(state)
             raise
 
-    def _ingest(self, state: _ShardState, header: tuple) -> None:
+    def _pull(self, state: _ProcessShardState) -> None:
+        try:
+            header = state.ready.get(timeout=POLL_SECONDS)
+        except queue.Empty:
+            if state.process is None or state.process.is_alive():
+                return
+            # Crashed or killed worker: one last drain attempt (the feeder
+            # may have flushed after our timed-out get), then finish the
+            # shard so the plan computes inline.
+            try:
+                header = state.ready.get_nowait()
+            except queue.Empty:
+                state.finished = True
+                return
+        self._ingest(state, header)
+
+    def _ingest(self, state: _ProcessShardState, header: tuple[Any, ...]) -> None:
         """Decode one publication header into the shard's result buffer."""
         kind = header[0]
         if kind == "done":
@@ -349,28 +243,8 @@ class ProcessShardExecutor:
         else:  # "inline": payload too large for a slot
             _, payload, computed = header
             results = decode_from_bytes(payload)
-        for result in results:
-            position = state.position_of.get(result.frame_index)
-            if position is not None and position >= state.consumed:
-                state.buffer[result.frame_index] = result
-        self.frames_prefetched += len(results)
-        self.progress_events.put(
-            ShardProgress(
-                shard=state.shard.shard_id,
-                start_frame=state.shard.start,
-                end_frame=state.shard.end,
-                frames_computed=computed,
-                shard_frames=int(state.frames.size),
-                done=computed >= state.frames.size,
-            )
-        )
-
-    def _purge_passed(self, state: _ShardState) -> None:
-        if not state.buffer:
-            return
-        passed = [f for f in state.buffer if state.position_of[f] < state.consumed]
-        for f in passed:
-            del state.buffer[f]
+        self._buffer(state, results)
+        self._note_chunk(state, len(results), computed)
 
 
 # -- worker process -------------------------------------------------------------------
@@ -440,7 +314,7 @@ def _publish(
         return True
     while not stop.is_set():
         try:
-            slot_index = free_slots.get(timeout=_POLL_SECONDS)
+            slot_index = free_slots.get(timeout=POLL_SECONDS)
         except queue.Empty:
             continue
         slots[slot_index].buf[: len(payload)] = payload

@@ -2,9 +2,10 @@
 
 The vectorized paths (columnar ``frame_features``, ``detect_many`` /
 ``detect_batch``, chunked plan execution) must be bit-for-bit identical to
-the scalar reference implementations they replace, with the same per-frame
-ledger accounting — these tests pin that contract, parametrized over batch
-sizes and both engine modes (``batched_execution`` on and off).
+the scalar references they replace, with the same per-frame ledger
+accounting — these tests pin that contract, parametrized over batch sizes,
+detection tiers and ledger kinds.  The scalar feature reference lives in
+``oracles.py``; the scalar detection reference is a ``detect`` loop.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import pytest
 
 from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
+from repro.core.context import ExecutionContext
 from repro.core.engine import BlazeIt
 from repro.errors import ConfigurationError
 from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
+from repro.parallel.cache import SharedDetectionCache
 from repro.scrubbing.importance import _respects_gap
 from repro.specialization.trainer import TrainingConfig
 from repro.video.frame_batch import FrameBatch
 from repro.video.synthetic import SyntheticVideo
 
 from conftest import make_video_spec
+from oracles import ReferenceFeatureVideo
 
 
 def assert_results_identical(left, right):
@@ -55,9 +59,9 @@ class TestFrameFeaturesEquivalence:
         )
 
     def test_full_video_bitwise_equal(self, dense_video):
-        reference_video = SyntheticVideo.generate(dense_video.spec)
+        reference_video = ReferenceFeatureVideo.of(dense_video)
         vectorized = dense_video.frame_features(np.arange(500))
-        reference = reference_video.frame_features_reference(np.arange(500))
+        reference = reference_video.frame_features(np.arange(500))
         assert np.array_equal(vectorized, reference)
 
     @pytest.mark.parametrize(
@@ -71,7 +75,7 @@ class TestFrameFeaturesEquivalence:
     )
     def test_subsets_bitwise_equal(self, dense_video, indices):
         vectorized = dense_video.frame_features(indices)
-        reference = dense_video.frame_features_reference(indices)
+        reference = ReferenceFeatureVideo.of(dense_video).frame_features(indices)
         assert np.array_equal(vectorized, reference)
 
     def test_memo_consistent_across_calls(self, dense_video):
@@ -86,18 +90,11 @@ class TestFrameFeaturesEquivalence:
         assert not np.array_equal(dense_video.frame_features([42]), row)
 
     def test_out_of_range_raises_like_reference(self, dense_video):
-        with pytest.raises(IndexError):
-            dense_video.frame_features([3, 500])
-        with pytest.raises(IndexError):
-            dense_video.frame_features([-1])
-
-    def test_scalar_flag_uses_reference_path(self, dense_video):
-        video = SyntheticVideo.generate(dense_video.spec)
-        video.use_vectorized_features = False
-        assert np.array_equal(
-            video.frame_features([1, 2, 3]),
-            dense_video.frame_features([1, 2, 3]),
-        )
+        for video in (dense_video, ReferenceFeatureVideo.of(dense_video)):
+            with pytest.raises(IndexError):
+                video.frame_features([3, 500])
+            with pytest.raises(IndexError):
+                video.frame_features([-1])
 
     def test_empty_request(self, dense_video):
         assert dense_video.frame_features([]).shape[0] == 0
@@ -217,26 +214,121 @@ class TestContextDetectBatchEquivalence:
             expected
         )
 
-    def test_detect_counts_batch_matches_scalar(self, context):
+    def test_detect_counts_batch_matches_detections(self, context):
         frames = np.array([0, 5, 5, 9, 300])
-        scalar = context.detect_counts(frames, "car", ExecutionLedger())
+        detected = [r.count("car") for r in context.detect_batch(frames, ExecutionLedger())]
         batched = context.detect_counts_batch(frames, "car", ExecutionLedger())
-        assert np.array_equal(scalar, batched)
+        assert np.array_equal(detected, batched)
 
-    def test_scalar_mode_falls_back(self, tiny_engine):
-        context = tiny_engine.execution_context("tiny")
-        context.config = BlazeItConfig(
-            training=context.config.training,
-            min_training_positives=context.config.min_training_positives,
-            batched_execution=False,
-            seed=context.config.seed,
+
+# -- tier identity: a detect loop is one batch, on every tier -----------------
+
+#: Frames with repeats, spanning several index sketch ranges (frames
+#: 192-239 of the tiny video lie in provably empty ranges).
+TIER_FRAMES = [7, 3, 7, 11, 3, 12, 64, 65, 64, 200, 210, 230, 210, 301, 399, 12]
+#: Frames already in the shared cache when a "shared" configuration starts.
+WARM_FRAMES = [3, 12, 200]
+EXECUTION_COUNTERS = (
+    "detector_calls",
+    "frames_decoded",
+    "detection_cache_hits",
+    "shared_cache_hits",
+    "index_hits",
+    "index_skips",
+)
+
+
+@pytest.fixture(scope="module")
+def indexed_context(tmp_path_factory, tiny_video, detector, engine_config):
+    """A context over the tiny video with a committed index attached."""
+    engine = BlazeIt(
+        detector=detector,
+        config=engine_config,
+        index_dir=tmp_path_factory.mktemp("tier-index"),
+    )
+    engine.register_video("tiny", test_video=tiny_video)
+    engine.build_index("tiny", range_size=16, segment_frames=128)
+    context = engine.execution_context("tiny")
+    assert context.index_view is not None
+    return context
+
+
+@pytest.fixture()
+def tier_context(indexed_context, tiny_recorded):
+    """Builds a fresh context (and a freshly warmed shared cache) per tier set."""
+
+    def build(tiers: str) -> ExecutionContext:
+        base = indexed_context
+        shared = None
+        if "shared" in tiers:
+            shared = SharedDetectionCache(capacity_bytes=16 << 20)
+            warm = base.detector.detect_many(base.video, WARM_FRAMES)
+            shared.put_many(base.cache_key, dict(zip(WARM_FRAMES, warm, strict=True)))
+        return ExecutionContext(
+            video=base.video,
+            detector=base.detector,
+            udf_registry=base.udf_registry,
+            config=base.config,
+            recorded=tiny_recorded if tiers == "recorded" else None,
+            shared_cache=shared,
+            cache_key=base.cache_key,
+            index_view=base.index_view if "index" in tiers else None,
         )
-        ledger = ExecutionLedger()
-        results = context.detect_batch([4, 4, 6], ledger)
-        reference = [context.detect(i, ExecutionLedger()) for i in [4, 4, 6]]
-        assert_results_identical(results, reference)
-        assert ledger.detector_calls == 2
-        assert ledger.detection_cache_hits == 1
+
+    return build
+
+
+class TestTierIdentityMatrix:
+    @pytest.mark.parametrize(
+        "tiers", ["plain", "recorded", "shared", "index", "index+shared"]
+    )
+    @pytest.mark.parametrize("ledger_kind", [ExecutionLedger, RuntimeLedger, None])
+    def test_detect_loop_matches_one_batch(self, tier_context, tiers, ledger_kind):
+        """``detect`` per frame and one ``detect_batch`` resolve identically.
+
+        Without an execution ledger there is no per-execution cache, so a
+        loop re-detects (and re-charges) repeated frames that a batch
+        computes once; the loop then runs over the distinct frames only.
+        """
+        loop_ledger = ledger_kind() if ledger_kind else None
+        batch_ledger = ledger_kind() if ledger_kind else None
+        loop_frames = (
+            TIER_FRAMES
+            if isinstance(loop_ledger, ExecutionLedger)
+            else list(dict.fromkeys(TIER_FRAMES))
+        )
+        loop_context = tier_context(tiers)
+        looped = {f: loop_context.detect(f, loop_ledger) for f in loop_frames}
+        batched = tier_context(tiers).detect_batch(TIER_FRAMES, batch_ledger)
+        assert_results_identical([looped[f] for f in TIER_FRAMES], batched)
+        if ledger_kind is None:
+            return
+        assert batch_ledger.calls == loop_ledger.calls
+        assert batch_ledger.charges == pytest.approx(loop_ledger.charges)
+        if ledger_kind is ExecutionLedger:
+            for counter in EXECUTION_COUNTERS:
+                assert getattr(batch_ledger, counter) == getattr(loop_ledger, counter), counter
+        self.assert_tier_accounting(tiers, batch_ledger)
+
+    @staticmethod
+    def assert_tier_accounting(tiers, ledger):
+        """Only frames no free tier holds are charged, each once.
+
+        The index covers every frame of the video, so with it attached the
+        detector is never charged.
+        """
+        distinct = set(TIER_FRAMES)
+        shared_hits = len(WARM_FRAMES) if "shared" in tiers else 0
+        index_served = len(distinct) - shared_hits if "index" in tiers else 0
+        charged = len(distinct) - shared_hits - index_served
+        assert sum(ledger.calls.values()) == charged
+        if isinstance(ledger, ExecutionLedger):
+            assert ledger.detector_calls == ledger.frames_decoded == charged
+            assert ledger.shared_cache_hits == shared_hits
+            assert ledger.index_hits + ledger.index_skips == index_served
+            assert ledger.detection_cache_hits == len(TIER_FRAMES) - charged
+            if "index" in tiers:
+                assert ledger.index_hits > 0 and ledger.index_skips > 0
 
 
 # -- gap checking -------------------------------------------------------------
@@ -259,7 +351,7 @@ class TestRespectsGap:
         assert _respects_gap(5, [], 3)
 
 
-# -- end-to-end: all four query classes, batch sizes, scalar mode -------------
+# -- end-to-end: all four query classes, batch sizes, scalar reference --------
 
 
 QUERIES = {
@@ -299,14 +391,17 @@ def result_fingerprint(kind: str, result) -> tuple:
 class TestQueryClassEquivalence:
     @pytest.fixture(scope="class")
     def engines(self):
-        """A batched and a scalar-reference engine over identical data."""
+        """A batched and a scalar-reference engine over identical data.
+
+        The reference engine computes features with the scalar oracle; its
+        sessions run with ``batch_size=1``, one frame per detector call.
+        """
         training = TrainingConfig(epochs=3, batch_size=32, min_examples=16)
 
         def build(batched: bool) -> BlazeIt:
             config = BlazeItConfig(
                 training=training,
                 min_training_positives=20,
-                batched_execution=batched,
                 seed=3,
             )
             test = SyntheticVideo.generate(
@@ -319,8 +414,9 @@ class TestQueryClassEquivalence:
                 make_video_spec(name="batchy-heldout", num_frames=400, seed=23)
             )
             if not batched:
-                for video in (test, train, heldout):
-                    video.use_vectorized_features = False
+                test, train, heldout = (
+                    ReferenceFeatureVideo.of(v) for v in (test, train, heldout)
+                )
             engine = BlazeIt(config=config)
             engine.register_video(
                 "batchy", test_video=test, train_video=train, heldout_video=heldout
@@ -348,7 +444,7 @@ class TestQueryClassEquivalence:
         batched = batched_engine.session().execute(
             QUERIES[kind], rng=np.random.default_rng(7)
         )
-        scalar = scalar_engine.session().execute(
+        scalar = scalar_engine.session(hints=QueryHints(batch_size=1)).execute(
             QUERIES[kind], rng=np.random.default_rng(7)
         )
         assert result_fingerprint(kind, batched) == result_fingerprint(kind, scalar)

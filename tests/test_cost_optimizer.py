@@ -10,7 +10,6 @@ from repro.api import QueryHints
 from repro.core.config import AggregateMethod
 from repro.optimizer.aggregates import AggregateQueryPlan, sampling_calls_estimate
 from repro.optimizer.cost import CostBasedOptimizer
-from repro.optimizer.rules import RuleBasedOptimizer
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import default_udf_registry
@@ -104,9 +103,8 @@ class TestPlanEnumeration:
         scrub = tiny_engine.optimizer.plan(tiny_engine.analyze(SCRUB_QUERY))
         assert scrub.strategy is None
 
-    def test_rule_based_wrapper_is_cost_based_without_stats(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
-        assert isinstance(optimizer, CostBasedOptimizer)
+    def test_without_stats_plans_the_query_class_default(self):
+        optimizer = CostBasedOptimizer(default_udf_registry())
         spec_text = "SELECT FCOUNT(*) FROM nowhere WHERE class='car' ERROR WITHIN 0.1"
         from repro.frameql.analyzer import analyze
         from repro.frameql.parser import parse
@@ -295,7 +293,7 @@ class TestExplainSnapshots:
         from repro.frameql.analyzer import analyze
         from repro.frameql.parser import parse
 
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         plan = optimizer.plan(analyze(parse(EXACT_QUERY)))
         assert "detector calls" not in plan.operator_tree().render()
 

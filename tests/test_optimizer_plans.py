@@ -16,7 +16,7 @@ from repro.frameql.analyzer import analyze
 from repro.frameql.parser import parse
 from repro.optimizer.aggregates import AggregateQueryPlan
 from repro.optimizer.exact import ExactQueryPlan
-from repro.optimizer.rules import RuleBasedOptimizer
+from repro.optimizer.cost import CostBasedOptimizer
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import default_udf_registry
@@ -57,7 +57,7 @@ class TestExecutionContext:
         )
 
     def test_detect_counts_match_recording(self, context, tiny_recorded):
-        counts = context.detect_counts(np.array([0, 1, 2]), "car")
+        counts = [r.count("car") for r in context.detect_batch(np.array([0, 1, 2]))]
         np.testing.assert_array_equal(counts, tiny_recorded.counts("car")[:3])
 
     def test_test_features_cached(self, context):
@@ -328,7 +328,7 @@ class TestExactPlanAndRules:
         assert all(r.trackid is not None for r in result.records)
 
     def test_rules_map_spec_to_plan(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         assert isinstance(
             optimizer.plan(_spec("SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1")),
             AggregateQueryPlan,
@@ -349,14 +349,14 @@ class TestExactPlanAndRules:
         assert isinstance(optimizer.plan(_spec("SELECT * FROM v")), ExactQueryPlan)
 
     def test_rules_reject_unknown_udf(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         with pytest.raises(UnknownUDFError):
             optimizer.plan(
                 _spec("SELECT * FROM v WHERE class='car' AND squareness(content) > 3")
             )
 
     def test_plan_descriptions_are_informative(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         plan = optimizer.plan(
             _spec("SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1")
         )

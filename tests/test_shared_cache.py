@@ -256,27 +256,6 @@ class TestEngineIntegration:
         assert warm.execution_ledger.detector_calls == 0
         assert warm.value == cold.value
 
-    def test_scalar_and_batched_accounting_agree_on_shared_hits(self, cached_engine):
-        engine, cache = cached_engine
-        engine.session().prepare(self.QUERY).execute(rng=np.random.default_rng(1))
-        batched = engine.session().prepare(self.QUERY).execute(
-            rng=np.random.default_rng(2)
-        )
-        engine.config.batched_execution = False
-        scalar = engine.session().prepare(self.QUERY).execute(
-            rng=np.random.default_rng(3)
-        )
-        engine.config.batched_execution = True
-        assert (
-            scalar.execution_ledger.shared_cache_hits
-            == batched.execution_ledger.shared_cache_hits
-        )
-        assert (
-            scalar.execution_ledger.detection_cache_hits
-            == batched.execution_ledger.detection_cache_hits
-        )
-        assert scalar.value == batched.value
-
     def test_cache_disabled_by_default(self):
         engine = BlazeIt(
             config=BlazeItConfig(
