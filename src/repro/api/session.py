@@ -58,7 +58,6 @@ from repro.frameql.ast import Query
 from repro.frameql.parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.catalog.statistics import VideoStatistics
     from repro.core.context import ExecutionContext
     from repro.core.engine import BlazeIt
     from repro.optimizer.base import PhysicalPlan
@@ -232,9 +231,14 @@ class PreparedQuery:
         worker per shard, with :class:`~repro.core.events.ShardProgress`
         events interleaved into the stream.  ``backend`` picks the worker
         substrate (``"threads"`` or ``"processes"``, falling back to the
-        hints' ``backend``, then the optimizer's choice or threads).  Results
-        are bit-for-bit identical at every parallelism and backend under a
-        fixed RNG stream.
+        hints' ``backend``).  Both feed one decision,
+        :func:`~repro.optimizer.cost.route_parallelism`: a per-call degree is
+        honoured as given, a routed one is priced by the cost model, and a
+        context that cannot be exported to processes runs on threads with
+        the refusal recorded.  The stream's ``parallelism`` attribute is
+        that decision — the one ``explain()`` renders for the same
+        arguments.  Results are bit-for-bit identical at every parallelism
+        and backend under a fixed RNG stream.
 
         ``trace`` enables span tracing for this execution (``None`` follows
         the hints' ``trace``, then the engine configuration's ``tracing``);
@@ -252,50 +256,32 @@ class PreparedQuery:
             rng, stop, batch_size, params, parallelism, backend, trace, analyze
         )
 
-    def _effective_parallelism(self, parallelism: int | None) -> int:
-        if parallelism is not None:
-            if not isinstance(parallelism, int) or parallelism < 1:
-                raise ConfigurationError(
-                    f"parallelism must be a positive integer or None, got "
-                    f"{parallelism!r}"
-                )
-            return parallelism
-        if self.hints.parallelism is not None:
-            return self.hints.parallelism
-        return self._session.engine.config.parallelism
+    def _batch_size(self, batch_size: int | None) -> int:
+        """Per-call chunk size wins, then the hints', then the engine default."""
+        if batch_size is not None:
+            return batch_size
+        if self.hints.batch_size is not None:
+            return self.hints.batch_size
+        return DEFAULT_BATCH_SIZE
 
-    def _parallelism_decision(
+    def _route(
         self,
         context: ExecutionContext,
-        stats: "VideoStatistics",
-        requested: int,
+        parallelism: int | None,
+        backend: str | None,
         batch_size: int,
-        backend_constraint: str | None,
-    ) -> "ParallelismDecision":
-        """The cost model's verdict on routed parallelism for this query."""
-        from repro.errors import SpawnExportError
-        from repro.optimizer.cost import ParallelismModel
-        from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS
+    ) -> ParallelismDecision:
+        """The parallelism decision for one execution (or its explanation)."""
+        from repro.optimizer.cost import route_parallelism
 
-        detector = context.detector
-        process_ok = True
-        if detector.gil_bound or backend_constraint == "processes":
-            # Only probe exportability when processes are actually in play:
-            # the probe pickles the detector.
-            try:
-                context.spawn_spec()
-            except SpawnExportError:
-                process_ok = False
-        return ParallelismModel().decide(
-            plan=self.plan,
-            stats=stats,
-            num_frames=context.video.num_frames,
-            requested=requested,
-            batch_size=batch_size,
-            window_chunks=DEFAULT_WINDOW_CHUNKS,
-            gil_bound=detector.gil_bound,
-            process_ok=process_ok,
-            backend_constraint=backend_constraint,
+        return route_parallelism(
+            self.plan,
+            context,
+            self._session.engine.catalog.get(self.spec.video),
+            self.hints,
+            parallelism,
+            backend,
+            batch_size,
         )
 
     def _tracing_enabled(self, trace: bool | None, analyze: bool) -> bool:
@@ -345,37 +331,13 @@ class PreparedQuery:
             # tracer-free for other streams.
             tracer = Tracer.from_seed_sequence(seed_sequence)
             context = dataclasses.replace(context, tracer=tracer)
-        if batch_size is None:
-            batch_size = (
-                self.hints.batch_size
-                if self.hints.batch_size is not None
-                else DEFAULT_BATCH_SIZE
-            )
         control = ExecutionControl(
             stop=stop if stop is not None else self.hints.stop_conditions,
-            batch_size=batch_size,
+            batch_size=self._batch_size(batch_size),
         )
-        workers = self._effective_parallelism(parallelism)
-        exec_backend = backend if backend is not None else self.hints.backend
-        # Routed (hints / engine config) parallelism is a *default*, not an
-        # order: with catalog statistics the optimizer's parallelism model
-        # prices backend and worker count per query (an importance-ordered
-        # scrub never amortizes startup plus speculation, a scan does);
-        # without statistics the plan-level profitability gate stands in.
-        # A per-call explicit ``parallelism=`` is honoured as given.
-        if workers > 1 and parallelism is None:
-            stats = self._session.engine.catalog.get(self.spec.video)
-            if stats is not None:
-                decision = self._parallelism_decision(
-                    context, stats, workers, batch_size, exec_backend
-                )
-                workers = decision.workers
-                if decision.parallel:
-                    exec_backend = decision.backend
-            elif not self.plan.parallel_profitable(context):
-                workers = 1
-        if exec_backend is None:
-            exec_backend = "threads"
+        # One decision drives the executor, the execute span, the metrics
+        # labels and the service's slot charge; explain() renders the same.
+        decision = self._route(context, parallelism, backend, control.batch_size)
 
         def events() -> Iterator[ExecutionEvent]:
             from repro.parallel.plan import parallel_events
@@ -388,7 +350,7 @@ class PreparedQuery:
                     # execution of this handle.
                     tracer.synthetic_span("parse", self._parse_seconds)
                     tracer.synthetic_span("optimize", self._optimize_seconds)
-                if workers > 1:
+                if decision.parallel:
                     # Parallel executions get a private context clone: the
                     # prefetcher and the RNG stream are bound once, so the
                     # session's cached context stays clean for other streams.
@@ -399,9 +361,8 @@ class PreparedQuery:
                         self.plan,
                         execution_context,
                         control,
-                        parallelism=workers,
+                        decision,
                         stats=self._session.engine.catalog.get(self.spec.video),
-                        backend=exec_backend,
                     )
                 else:
                     plan_events = self.plan.run(context, control)
@@ -410,11 +371,11 @@ class PreparedQuery:
                     with maybe_span(
                         tracer,
                         "execute",
-                        parallelism=workers,
-                        backend=exec_backend if workers > 1 else "sequential",
+                        parallelism=decision.workers,
+                        backend=decision.backend,
                     ):
                         while True:
-                            if workers <= 1:
+                            if not decision.parallel:
                                 context.bind_rng(bound_rng)
                             try:
                                 event = next(plan_events)
@@ -451,7 +412,7 @@ class PreparedQuery:
                     if closer is not None:
                         closer()
 
-        return ExecutionStream(events(), control)
+        return ExecutionStream(events(), control, decision)
 
     def execute(
         self,
@@ -493,9 +454,19 @@ class PreparedQuery:
     # -- introspection -------------------------------------------------------------
 
     def explain(
-        self, analyze: bool = False, **params: Any
+        self,
+        analyze: bool = False,
+        parallelism: int | None = None,
+        backend: str | None = None,
+        batch_size: int | None = None,
+        **params: Any,
     ) -> PlanExplanation | ExecutionProfile:
         """Structured description of the plan this query will run.
+
+        ``parallelism``, ``backend`` and ``batch_size`` mean what they mean
+        to :meth:`stream` (the chunk size sizes the modeled speculation);
+        the explanation's ``parallelism`` line renders the very decision an
+        execution with those arguments acts on.
 
         ``explain(analyze=True)`` actually runs the query once (tracing
         enabled, fresh RNG stream) and returns its
@@ -504,10 +475,25 @@ class PreparedQuery:
         with ``.render()``.
         """
         if analyze:
-            result = self.execute(analyze=True, **params)
+            result = self._open_stream(
+                None, None, batch_size, params, parallelism, backend, None, True
+            ).drain()
             assert result.profile is not None  # analyze=True always traces
             return result.profile
-        return self._session._explain(self.spec, self.plan, self.hints)
+        engine = self._session.engine
+        context = engine._video_context(self.spec.video)
+        # The optimizer assembles the explanation: it holds the statistics
+        # catalog the per-operator cost annotations and the candidate
+        # summaries are priced from.
+        return engine.optimizer.explain_plan(
+            self.spec,
+            self.plan,
+            self.hints,
+            context.video.num_frames,
+            self._route(
+                context, parallelism, backend, self._batch_size(batch_size)
+            ),
+        )
 
 
 class QuerySession:
@@ -576,19 +562,6 @@ class QuerySession:
             return str(query), query
         self.stats.parses += 1
         return query, parse(query)
-
-    def _explain(
-        self, spec: QuerySpec, plan: PhysicalPlan, hints: QueryHints
-    ) -> PlanExplanation:
-        store = self.engine.store
-        num_frames = store.get(spec.video).num_frames if spec.video in store else 0
-        # The optimizer assembles the explanation: it holds the statistics
-        # catalog the per-operator cost annotations and the candidate
-        # summaries are priced from.  The detector rides along so the
-        # parallelism verdict can account for GIL behaviour.
-        return self.engine.optimizer.explain_plan(
-            spec, plan, hints, num_frames, detector=self.engine.detector_for(spec.video)
-        )
 
     # -- public API ----------------------------------------------------------------
 

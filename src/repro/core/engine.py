@@ -315,12 +315,23 @@ class BlazeIt:
         Each context receives its own RNG stream derived from the engine's
         root seed sequence, so two contexts never share sample draws.
         """
+        context = self._video_context(video_name)
+        context.seed_sequence = self._spawn_seed_sequence()
+        return context.bind_rng(np.random.default_rng(context.seed_sequence))
+
+    def _video_context(self, video_name: str) -> ExecutionContext:
+        """A video's execution context without an RNG stream of its own.
+
+        ``explain()`` routes parallelism on it: it holds every asset the
+        router reads (video, detector, recording) but draws nothing from the
+        engine's seed tree, so explaining never shifts later sessions'
+        streams.
+        """
         if video_name not in self.store:
             raise UnknownVideoError(
                 f"video {video_name!r} is not registered "
                 f"(available: {', '.join(self.videos()) or '<none>'})"
             )
-        seed_sequence = self._spawn_seed_sequence()
         return ExecutionContext(
             video=self.store.get(video_name),
             detector=self.detector_for(video_name),
@@ -328,8 +339,6 @@ class BlazeIt:
             config=self.config,
             labeled_set=self._labeled_sets.get(video_name),
             recorded=self._recorded.get(video_name),
-            rng=np.random.default_rng(seed_sequence),
-            seed_sequence=seed_sequence,
             shared_cache=self._shared_cache,
             cache_key=self._cache_key_for(video_name),
             index_view=self._index_view_for(video_name),

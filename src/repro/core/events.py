@@ -24,12 +24,15 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.results import QueryResult
 from repro.errors import ConfigurationError, ExecutionError
 from repro.metrics.runtime import ExecutionLedger
 from repro.stopping import NO_STOP, CancellationToken, StopConditions
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.optimizer.cost import ParallelismDecision
 
 __all__ = [
     "ExecutionEvent",
@@ -282,13 +285,21 @@ class ExecutionStream:
     :class:`Completed` event's result is captured in :attr:`result`, and
     :meth:`drain` consumes the whole stream and returns it, which is exactly
     how blocking execution is implemented.
+
+    :attr:`parallelism` is the
+    :class:`~repro.optimizer.cost.ParallelismDecision` the execution acts
+    on — the one ``explain()`` renders.
     """
 
     def __init__(
-        self, events: Iterator[ExecutionEvent], control: ExecutionControl
+        self,
+        events: Iterator[ExecutionEvent],
+        control: ExecutionControl,
+        parallelism: ParallelismDecision,
     ) -> None:
         self._events = events
         self.control = control
+        self.parallelism = parallelism
         self._result: QueryResult | None = None
         self._stop_reason: str | None = None
         self._finished = False

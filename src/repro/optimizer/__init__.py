@@ -15,8 +15,7 @@ The planning stack has three layers (Section 5):
 
 Every plan executes through the pull-based streaming protocol of
 :mod:`repro.core.events`: ``plan.run(context)`` yields typed
-:class:`~repro.core.events.ExecutionEvent` objects, ``plan.open(context)``
-returns a :class:`PlanCursor` with explicit ``next_batch()``/``close()``, and
+:class:`~repro.core.events.ExecutionEvent` objects and
 ``plan.execute(context)`` drains the stream into a blocking result.  The
 event types are re-exported here so the optimizer package is a complete,
 typed surface for plan authors.
@@ -32,7 +31,7 @@ from repro.core.events import (
     SelectionWindow,
     StopConditions,
 )
-from repro.optimizer.base import CostEstimate, PhysicalPlan, PlanCursor
+from repro.optimizer.base import CostEstimate, PhysicalPlan
 from repro.optimizer.aggregates import AggregateQueryPlan
 from repro.optimizer.cost import CostBasedOptimizer, PlanCandidate
 from repro.optimizer.logical import LogicalNode, LogicalPlan, build_logical_plan
@@ -42,7 +41,6 @@ from repro.optimizer.exact import ExactQueryPlan
 
 __all__ = [
     "PhysicalPlan",
-    "PlanCursor",
     "CostEstimate",
     "AggregateQueryPlan",
     "ScrubbingQueryPlan",

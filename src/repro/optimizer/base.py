@@ -3,13 +3,11 @@
 Every plan executes as a generator of typed
 :class:`~repro.core.events.ExecutionEvent` objects (``Progress``,
 ``EstimateUpdate``, ``ScrubbingHit``, ``SelectionWindow``, terminated by a
-single ``Completed`` carrying the full result).  Three consumption styles are
+single ``Completed`` carrying the full result).  Two consumption styles are
 built on the one abstract hook ``_stream``:
 
 * :meth:`PhysicalPlan.run` — the raw event generator (used by
   ``session.stream()``);
-* :meth:`PhysicalPlan.open` — a :class:`PlanCursor` with explicit
-  ``next_batch()`` / ``close()`` for pull-based executors;
 * :meth:`PhysicalPlan.execute` — blocking execution, defined as draining the
   stream and returning the terminal result, so blocking and streamed results
   are identical by construction.
@@ -106,13 +104,6 @@ class PhysicalPlan(abc.ABC):
             self._stream(context, control or self._default_control())
         )
 
-    def open(
-        self, context: ExecutionContext, control: ExecutionControl | None = None
-    ) -> PlanCursor:
-        """Open a pull-based cursor over the plan's event stream."""
-        control = control or self._default_control()
-        return PlanCursor(self.run(context, control), control)
-
     def execute(
         self, context: ExecutionContext, control: ExecutionControl | None = None
     ) -> QueryResult:
@@ -132,18 +123,17 @@ class PhysicalPlan(abc.ABC):
         return type(self).__name__
 
     def parallel_profitable(self, context: ExecutionContext) -> bool:
-        """Statistics-free fallback gate for *default* parallelism routing.
+        """Whether sharded prefetch can pay off, judged without statistics.
 
-        When hints or the engine configuration route a query through the
-        parallel engine and the statistics catalog has an entry for the
-        video, the optimizer's :class:`~repro.optimizer.cost.ParallelismModel`
-        prices the decision per query and this hook is not consulted.  It
-        remains the fallback when no statistics exist: a plan that knows
-        sharded prefetch cannot pay off (e.g. an importance-ordered scrubbing
-        scan, whose ranked access order defeats contiguous-shard speculation)
-        returns ``False`` and runs on the classic sequential path.  An
-        explicit per-call ``parallelism=`` always wins — the caller asked for
-        shards, they get shards.
+        :func:`~repro.optimizer.cost.route_parallelism` consults this gate
+        only for *routed* parallelism (hints or engine configuration) on a
+        video with no catalog statistics — with statistics the cost model
+        prices the decision instead.  A plan that knows sharded prefetch
+        cannot pay off (e.g. an importance-ordered scrubbing scan, whose
+        ranked access order defeats contiguous-shard speculation) returns
+        ``False`` and the router runs it sequentially; ``explain()`` shows
+        that verdict as ``sequential [fallback]``.  An explicit per-call
+        ``parallelism=`` is honoured as given and never reaches this gate.
         """
         return True
 
@@ -192,59 +182,3 @@ class PhysicalPlan(abc.ABC):
             else StandardCosts.MASK_RCNN.seconds_per_call
         )
         return CostEstimate(detector_calls=calls, detector_seconds=calls * per_call)
-
-
-class PlanCursor:
-    """Explicit ``open()/next_batch()/close()`` adapter over a plan's stream.
-
-    The cursor form of the streaming protocol, for executors that pull work
-    in discrete steps rather than iterating a generator.  ``next_batch``
-    returns up to ``max_events`` events (default: the control's batch size)
-    and an empty list once the stream is exhausted.
-    """
-
-    def __init__(
-        self, events: Iterator[ExecutionEvent], control: ExecutionControl
-    ) -> None:
-        self._events = events
-        self.control = control
-        self._exhausted = False
-        self._result: QueryResult | None = None
-
-    @property
-    def result(self) -> QueryResult | None:
-        """The terminal result, once the ``Completed`` event has been pulled."""
-        return self._result
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the underlying stream has ended."""
-        return self._exhausted
-
-    def next_batch(self, max_events: int | None = None) -> list[ExecutionEvent]:
-        """Pull up to ``max_events`` events; empty list means the stream ended."""
-        if self._exhausted:
-            return []
-        count = max_events if max_events is not None else self.control.batch_size
-        if count < 1:
-            raise ValueError(f"max_events must be >= 1, got {count}")
-        batch: list[ExecutionEvent] = []
-        for event in self._events:
-            batch.append(event)
-            if isinstance(event, Completed):
-                self._result = event.result
-                self._exhausted = True
-                break
-            if len(batch) >= count:
-                break
-        else:
-            self._exhausted = True
-        return batch
-
-    def close(self) -> None:
-        """Cancel the execution and dispose of the underlying generator."""
-        self.control.cancel()
-        closer = getattr(self._events, "close", None)
-        if closer is not None:
-            closer()
-        self._exhausted = True

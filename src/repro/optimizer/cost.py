@@ -32,6 +32,10 @@ point of having a cost model.
 
 ``QueryHints.force_plan`` bypasses the choice entirely and picks a candidate
 by name — the escape hatch for benchmarks and for users who know better.
+
+How the chosen plan runs — sequential, or ``k`` shard workers on threads or
+processes — is decided by :func:`route_parallelism`, the one parallelism
+router that execution, ``explain()`` and the query service all consume.
 """
 
 from __future__ import annotations
@@ -41,11 +45,16 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.api.hints import NO_HINTS, QueryHints, require_hints
+from repro.api.hints import NO_HINTS, VALID_BACKENDS, QueryHints, require_hints
 from repro.core.config import AggregateMethod, BlazeItConfig
 from repro.metrics.runtime import StandardCosts
 from repro.core.results import PlanCandidateSummary, PlanExplanation
-from repro.errors import PlanningError, UnknownUDFError
+from repro.errors import (
+    ConfigurationError,
+    PlanningError,
+    SpawnExportError,
+    UnknownUDFError,
+)
 from repro.frameql.analyzer import (
     AggregateQuerySpec,
     ExactQuerySpec,
@@ -67,18 +76,7 @@ from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import UDFRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.detection.base import ObjectDetector
-
-
-def _detector_picklable(detector: "ObjectDetector") -> bool:
-    """Whether a detector can cross the spawn boundary to process workers."""
-    import pickle
-
-    try:
-        pickle.dumps(detector)
-    except Exception:
-        return False
-    return True
+    from repro.core.context import ExecutionContext
 
 
 #: Relative + absolute margin a forced variant must clear to displace the
@@ -110,7 +108,12 @@ PARALLEL_MARGIN = 1.3
 
 @dataclass(frozen=True)
 class ParallelismDecision:
-    """The optimizer's verdict on how to execute one plan in parallel."""
+    """How one execution runs: ``(workers, backend)`` and why.
+
+    Made by :func:`route_parallelism` and consumed unchanged by everything
+    that reports or acts on parallelism, so ``explain()`` and execution
+    cannot disagree.
+    """
 
     #: ``"sequential"``, ``"threads"`` or ``"processes"``.
     backend: str
@@ -124,7 +127,8 @@ class ParallelismDecision:
     #: ``sequential_seconds`` when sequential wins).
     parallel_seconds: float = 0.0
     #: ``"cost_model"`` normally; ``"fallback"`` when no statistics existed
-    #: and the plan-level profitability gate decided instead.
+    #: and the plan-level profitability gate decided instead; ``"explicit"``
+    #: for a per-call degree, honoured as given.
     source: str = "cost_model"
 
     @property
@@ -140,136 +144,198 @@ class ParallelismDecision:
         return f"{label} [{self.source}] — {self.reason}"
 
 
-class ParallelismModel:
-    """Prices parallel execution: startup + speculation waste vs detector work.
+def route_parallelism(
+    plan: PhysicalPlan,
+    context: ExecutionContext,
+    stats: VideoStatistics | None,
+    hints: QueryHints,
+    parallelism: int | None,
+    backend: str | None,
+    batch_size: int,
+) -> ParallelismDecision:
+    """Decide ``(workers, backend)`` for one execution of ``plan``.
 
-    The parallel engine overlaps *detector* latency across shard workers;
-    everything else a plan does (training, inference, filters) runs on the
-    driver regardless.  So the model compares the plan's expected detector
-    seconds — taken from the cost estimate the optimizer already produced
-    when it chose the plan — against ``startup x k`` plus the per-shard share
-    of useful work *and* speculative waste: workers compute the announced
-    order eagerly, so a plan that consumes only a short prefix (an
-    importance-ranked scrub crossing its LIMIT early) pays for prefetched
-    frames it never reads.  Cheap importance-ranked scans therefore lose to
-    sequential execution on principle, not by a blanket rule.
+    The one place parallel routing is decided: ``PreparedQuery.stream()``
+    runs the decision (and exposes it as ``stream.parallelism``),
+    ``explain()`` renders it, the query service charges its ``workers`` as
+    scheduler slots, and :func:`~repro.parallel.plan.parallel_events`
+    executes it.
 
-    Backend choice follows the detector: threads when it releases the GIL
-    during its latency (the normal, well-behaved case — process startup is
-    two orders of magnitude dearer), processes when it declares itself
-    ``gil_bound`` and the context can be exported to spawned workers.
+    Per-call ``parallelism`` / ``backend`` (``None``: not given) win, then
+    ``hints``, then the engine configuration.  A per-call degree is
+    *explicit* and honoured as given.  A routed one (hints or configuration)
+    is a ceiling: with catalog statistics the cost model prices it (see
+    :func:`_priced_parallelism`); without, the plan's
+    :meth:`~repro.optimizer.base.PhysicalPlan.parallel_profitable` gate is
+    the only input.  ``batch_size`` is the execution's chunk size, which
+    sizes the modeled speculation.
+
+    The backend follows the detector: threads when it releases the GIL
+    during its latency (process startup is two orders of magnitude dearer),
+    processes when it declares itself ``gil_bound``.  Whenever processes are
+    in play the context's exportability is probed once through
+    :meth:`~repro.core.context.ExecutionContext.spawn_spec`; a refusal (a
+    recorded test day, an unpicklable detector) removes them from the
+    choice, and an explicit or unpriced ``"processes"`` degrades to threads
+    — never silently: the refusal is quoted in the decision's ``reason``.
     """
-
-    def __init__(
-        self,
-        thread_startup_seconds: float = THREAD_STARTUP_SECONDS,
-        process_startup_seconds: float = PROCESS_STARTUP_SECONDS,
-        margin: float = PARALLEL_MARGIN,
-    ) -> None:
-        self.thread_startup_seconds = thread_startup_seconds
-        self.process_startup_seconds = process_startup_seconds
-        self.margin = margin
-
-    def decide(
-        self,
-        plan: PhysicalPlan,
-        stats: VideoStatistics,
-        num_frames: int,
-        requested: int,
-        batch_size: int,
-        window_chunks: int,
-        gil_bound: bool = False,
-        process_ok: bool = True,
-        backend_constraint: str | None = None,
-    ) -> ParallelismDecision:
-        """Choose ``{sequential, threads x k, processes x k}`` for one plan.
-
-        ``requested`` is the routed worker count (hints or engine config);
-        the model may choose fewer workers, never more.
-        ``backend_constraint`` (from ``QueryHints.backend``) restricts the
-        choice to one backend without forcing parallelism itself.
-        """
-        if requested < 2:
-            return ParallelismDecision(
-                backend="sequential",
-                workers=1,
-                reason="parallelism not requested",
-            )
-        cost = plan.planned_cost
-        if cost is None:
-            cost = plan.estimate_cost(num_frames, stats)
-        useful_calls = min(max(int(cost.detector_calls), 0), num_frames)
-        per_call = stats.detector_seconds_per_call
-        sequential_seconds = useful_calls * per_call
-
-        backends = self._backend_order(gil_bound, process_ok, backend_constraint)
-        best: tuple[float, str, int] | None = None
-        for k in self._worker_counts(requested):
-            waste_calls = min(
-                max(0, num_frames - useful_calls),
-                k * window_chunks * batch_size,
-            )
-            for backend in backends:
-                # A GIL-bound detector serializes thread workers: they pay
-                # startup and speculation with no overlap at all.
-                overlap = 1 if (backend == "threads" and gil_bound) else k
-                startup = (
-                    self.thread_startup_seconds
-                    if backend == "threads"
-                    else self.process_startup_seconds
-                )
-                seconds = (
-                    startup * k + (useful_calls + waste_calls) * per_call / overlap
-                )
-                if best is None or seconds < best[0]:
-                    best = (seconds, backend, k)
-        if best is not None and sequential_seconds >= self.margin * best[0]:
-            seconds, backend, k = best
-            return ParallelismDecision(
-                backend=backend,
-                workers=k,
-                reason=(
-                    f"{useful_calls} expected detector calls amortize "
-                    f"{k} x {backend} startup "
-                    f"({sequential_seconds:.1f}s -> {seconds:.1f}s modeled)"
-                ),
-                sequential_seconds=sequential_seconds,
-                parallel_seconds=seconds,
-            )
+    if parallelism is not None and (
+        not isinstance(parallelism, int) or parallelism < 1
+    ):
+        raise ConfigurationError(
+            f"parallelism must be a positive integer or None, got {parallelism!r}"
+        )
+    if backend is not None and backend not in VALID_BACKENDS:
+        raise ConfigurationError(
+            f"unknown parallel backend {backend!r}; expected one of "
+            f"{sorted(VALID_BACKENDS)}"
+        )
+    explicit = parallelism is not None
+    if parallelism is not None:
+        requested = parallelism
+    elif hints.parallelism is not None:
+        requested = hints.parallelism
+    else:
+        requested = context.config.parallelism
+    backend = backend if backend is not None else hints.backend
+    if requested < 2:
+        return ParallelismDecision(
+            backend="sequential", workers=1, reason="parallelism not requested"
+        )
+    if not explicit and stats is not None:
+        return _priced_parallelism(
+            plan, context, stats, requested, backend, batch_size
+        )
+    if explicit:
+        source, reason = "explicit", "per-call parallelism, honoured as given"
+    elif plan.parallel_profitable(context):
+        source = "fallback"
+        reason = (
+            "no catalog statistics to price: the plan's profitability gate "
+            "admits sharding"
+        )
+    else:
         return ParallelismDecision(
             backend="sequential",
             workers=1,
             reason=(
-                f"{useful_calls} expected detector calls don't amortize "
-                "worker startup and speculative prefetch"
-                + (
-                    f" (best parallel config modeled {best[0]:.1f}s vs "
-                    f"{sequential_seconds:.1f}s sequential)"
-                    if best is not None
-                    else ""
-                )
+                "no catalog statistics to price: the plan's profitability "
+                "gate declines sharding"
+            ),
+            source="fallback",
+        )
+    chosen = backend if backend is not None else "threads"
+    if chosen == "processes":
+        refusal = _export_refusal(context)
+        if refusal is not None:
+            chosen = "threads"
+            reason = f"{reason}; processes refused, threads instead: {refusal}"
+    return ParallelismDecision(
+        backend=chosen, workers=requested, reason=reason, source=source
+    )
+
+
+def _export_refusal(context: ExecutionContext) -> str | None:
+    """Why ``context`` cannot be exported to process workers (``None``: it can)."""
+    try:
+        context.spawn_spec()
+    except SpawnExportError as exc:
+        return str(exc)
+    return None
+
+
+def _priced_parallelism(
+    plan: PhysicalPlan,
+    context: ExecutionContext,
+    stats: VideoStatistics,
+    requested: int,
+    backend: str | None,
+    batch_size: int,
+) -> ParallelismDecision:
+    """The cost model: ``{sequential, threads x k, processes x k}`` for one plan.
+
+    The parallel engine overlaps *detector* latency across shard workers, so
+    the plan's expected detector seconds (the estimate it was chosen at) are
+    weighed against ``startup x k`` plus the per-shard share of useful work
+    *and* speculative waste: workers compute the announced order eagerly, so
+    a plan that reads a short prefix (an importance-ranked scrub crossing
+    its LIMIT early) pays for frames it never reads.  Worker counts halve
+    down from ``requested``; a parallel configuration must beat the
+    sequential run by :data:`PARALLEL_MARGIN`.
+    """
+    from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS
+
+    num_frames = context.video.num_frames
+    cost = plan.planned_cost
+    if cost is None:
+        cost = plan.estimate_cost(num_frames, stats)
+    useful_calls = min(max(int(cost.detector_calls), 0), num_frames)
+    per_call = stats.detector_seconds_per_call
+    sequential_seconds = useful_calls * per_call
+
+    gil_bound = context.detector.gil_bound
+    if backend is not None:
+        backends = [backend]
+    else:
+        # Threads pay a fraction of process startup at the same overlap, so
+        # processes can only win for a GIL-bound detector.
+        backends = ["processes", "threads"] if gil_bound else ["threads"]
+    refused = ""
+    if "processes" in backends:
+        refusal = _export_refusal(context)
+        if refusal is not None:
+            backends.remove("processes")
+            refused = f"; processes refused: {refusal}"
+    best: tuple[float, str, int] | None = None
+    k = requested
+    while k >= 2:
+        waste_calls = min(
+            max(0, num_frames - useful_calls), k * DEFAULT_WINDOW_CHUNKS * batch_size
+        )
+        for candidate in backends:
+            # A GIL-bound detector serializes thread workers: they pay
+            # startup and speculation with no overlap at all.
+            overlap = 1 if (candidate == "threads" and gil_bound) else k
+            startup = (
+                THREAD_STARTUP_SECONDS
+                if candidate == "threads"
+                else PROCESS_STARTUP_SECONDS
+            )
+            seconds = startup * k + (useful_calls + waste_calls) * per_call / overlap
+            if best is None or seconds < best[0]:
+                best = (seconds, candidate, k)
+        k //= 2
+    if best is not None and sequential_seconds >= PARALLEL_MARGIN * best[0]:
+        seconds, chosen, k = best
+        return ParallelismDecision(
+            backend=chosen,
+            workers=k,
+            reason=(
+                f"{useful_calls} expected detector calls amortize "
+                f"{k} x {chosen} startup "
+                f"({sequential_seconds:.1f}s -> {seconds:.1f}s modeled)"
+                f"{refused}"
             ),
             sequential_seconds=sequential_seconds,
-            parallel_seconds=sequential_seconds,
+            parallel_seconds=seconds,
         )
-
-    def _backend_order(
-        self, gil_bound: bool, process_ok: bool, constraint: str | None
-    ) -> list[str]:
-        order = ["processes", "threads"] if gil_bound else ["threads", "processes"]
-        if not process_ok:
-            order = [b for b in order if b != "processes"]
-        if constraint is not None:
-            order = [b for b in order if b == constraint]
-        return order
-
-    def _worker_counts(self, requested: int) -> list[int]:
-        counts = []
-        k = requested
-        while k >= 2:
-            counts.append(k)
-            k //= 2
-        return counts
+    return ParallelismDecision(
+        backend="sequential",
+        workers=1,
+        reason=(
+            f"{useful_calls} expected detector calls don't amortize "
+            "worker startup and speculative prefetch"
+            + (
+                f" (best parallel config modeled {best[0]:.1f}s vs "
+                f"{sequential_seconds:.1f}s sequential)"
+                if best is not None
+                else ""
+            )
+            + refused
+        ),
+        sequential_seconds=sequential_seconds,
+        parallel_seconds=sequential_seconds,
+    )
 
 
 class PlanCandidate:
@@ -339,13 +405,7 @@ class CostBasedOptimizer:
         require_hints(hints)
         hints = hints or NO_HINTS
         self._validate_udfs(spec)
-        candidates = self.candidates(spec, hints)
-        if hints.force_plan is not None:
-            chosen = self._forced(candidates, hints.force_plan)
-        elif self._config_forces_strategy(spec):
-            chosen = candidates[0]
-        else:
-            chosen = self.choose(candidates, self.statistics_for(spec))
+        chosen = self._selected(spec, self.candidates(spec, hints), hints)
         # Stamp the price the plan was chosen at: the parallelism model (and
         # anyone else reasoning about the plan post-choice) reads it so the
         # expected detector work agrees with the selection itself.
@@ -423,23 +483,17 @@ class CostBasedOptimizer:
         plan: PhysicalPlan,
         hints: QueryHints | None,
         num_frames: int,
-        detector: "ObjectDetector | None" = None,
+        parallelism: ParallelismDecision,
     ) -> PlanExplanation:
         """Structured explanation of ``plan``, with per-operator costs.
 
-        ``detector`` (when the caller has one — sessions pass the engine's)
-        lets the parallelism verdict account for GIL behaviour and process
-        exportability; without it the well-behaved defaults are assumed.
+        ``parallelism`` is the :func:`route_parallelism` decision for the
+        execution being explained; it is rendered, never re-derived.
         """
         hints = hints or NO_HINTS
         stats = self.statistics_for(spec)
         candidates = self.candidates(spec, hints, num_frames=num_frames)
-        if hints.force_plan is not None:
-            chosen = self._forced(candidates, hints.force_plan).name
-        elif self._config_forces_strategy(spec):
-            chosen = candidates[0].name
-        else:
-            chosen = self.choose(candidates, stats).name
+        chosen = self._selected(spec, candidates, hints).name
         estimated_calls = plan.estimate_detector_calls(num_frames, stats)
         if self._index_covers(spec, hints):
             # Sketch-tightened estimate: with a committed index every
@@ -456,56 +510,8 @@ class CostBasedOptimizer:
                 candidate.summary(chosen=candidate.name == chosen)
                 for candidate in candidates
             ),
-            parallelism=self._explain_parallelism(
-                plan, hints, stats, num_frames, detector
-            ),
+            parallelism=parallelism.describe(),
         )
-
-    def _explain_parallelism(
-        self,
-        plan: PhysicalPlan,
-        hints: QueryHints,
-        stats: VideoStatistics | None,
-        num_frames: int,
-        detector: "ObjectDetector | None",
-    ) -> str:
-        """The routed-parallelism verdict, as ``explain()`` surfaces it."""
-        from repro.core.events import DEFAULT_BATCH_SIZE
-        from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS
-
-        requested = (
-            hints.parallelism
-            if hints.parallelism is not None
-            else self.config.parallelism
-        )
-        if requested < 2:
-            return ParallelismDecision(
-                backend="sequential", workers=1, reason="parallelism not requested"
-            ).describe()
-        if stats is None:
-            return ParallelismDecision(
-                backend="sequential",
-                workers=1,
-                reason=(
-                    "no catalog statistics to price: the plan-level "
-                    "profitability gate decides at execution"
-                ),
-                source="fallback",
-            ).describe()
-        batch_size = (
-            hints.batch_size if hints.batch_size is not None else DEFAULT_BATCH_SIZE
-        )
-        return ParallelismModel().decide(
-            plan=plan,
-            stats=stats,
-            num_frames=num_frames,
-            requested=requested,
-            batch_size=batch_size,
-            window_chunks=DEFAULT_WINDOW_CHUNKS,
-            gil_bound=detector.gil_bound if detector is not None else False,
-            process_ok=detector is None or _detector_picklable(detector),
-            backend_constraint=hints.backend,
-        ).describe()
 
     # -- shared pieces -------------------------------------------------------------
 
@@ -559,6 +565,16 @@ class CostBasedOptimizer:
             isinstance(spec, AggregateQuerySpec)
             and self._default_aggregate_method() is not None
         )
+
+    def _selected(
+        self, spec: QuerySpec, candidates: list[PlanCandidate], hints: QueryHints
+    ) -> PlanCandidate:
+        """The candidate to run: forced by name, pinned by config, or cheapest."""
+        if hints.force_plan is not None:
+            return self._forced(candidates, hints.force_plan)
+        if self._config_forces_strategy(spec):
+            return candidates[0]
+        return self.choose(candidates, self.statistics_for(spec))
 
     def _forced(
         self, candidates: list[PlanCandidate], name: str

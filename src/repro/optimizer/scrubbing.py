@@ -107,17 +107,17 @@ class ScrubbingQueryPlan(PhysicalPlan):
         )
 
     def parallel_profitable(self, context: ExecutionContext) -> bool:
-        """Statistics-free fallback: decline default parallelism.
+        """Statistics-free gate: decline routed parallelism.
 
-        With catalog statistics the optimizer's
-        :class:`~repro.optimizer.cost.ParallelismModel` prices this per query
-        and reaches the same conclusion on the merits: scrubbing verifies a
-        handful of frames and stops at its ``LIMIT``, so the speculative
-        prefetch is almost pure waste — measured as a 0.44x *regression* at 4
-        workers before the cost model existed.  Without statistics there is
-        nothing to price, so this conservative blanket decline stands in.
-        An explicit per-call ``parallelism=`` still shards (results stay
-        bit-identical, only wall-clock differs).
+        With catalog statistics :func:`~repro.optimizer.cost.route_parallelism`
+        prices this per query and reaches the same conclusion on the merits:
+        scrubbing verifies a handful of frames and stops at its ``LIMIT``, so
+        the speculative prefetch is almost pure waste — measured as a 0.44x
+        *regression* at 4 workers before the cost model existed.  Without
+        statistics there is nothing to price, so the router takes this
+        conservative decline as its verdict.  An explicit per-call
+        ``parallelism=`` still shards (results stay bit-identical, only
+        wall-clock differs).
         """
         return False
 

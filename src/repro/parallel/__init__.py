@@ -17,8 +17,11 @@ Three cooperating pieces (see the README's "Parallel execution" section):
   skip detector calls entirely (``BlazeItConfig.shared_cache_bytes``).
 
 Entry point: :func:`repro.parallel.plan.parallel_events`, routed to by
-``QuerySession.stream()`` whenever ``QueryHints.parallelism`` (or the engine
-config's ``parallelism``) exceeds one.
+``QuerySession.stream()`` whenever the query's parallelism decision
+(:func:`repro.optimizer.cost.route_parallelism`) runs more than one worker.
+The decision names the backend that will run: a context that cannot be
+exported to worker processes is routed to threads there, with the refusal in
+the decision's ``reason`` — the executor never degrades behind its back.
 """
 
 from repro.parallel.cache import (

@@ -1,10 +1,10 @@
 """Parallel stream driver: shard the video, prefetch, merge event streams.
 
 :func:`parallel_events` is what :meth:`repro.api.session.PreparedQuery.stream`
-routes through when the effective parallelism exceeds one.  It leaves the
-physical plan's logic untouched — the plan streams on the driver thread with
-its usual control and ledger — and surrounds it with the sharded prefetch
-pipeline:
+routes through when its parallelism decision runs more than one worker.  It
+leaves the physical plan's logic untouched — the plan streams on the driver
+thread with its usual control and ledger — and surrounds it with the sharded
+prefetch pipeline:
 
 1. a :class:`~repro.parallel.shards.VideoSharder` partitions the video using
    the statistics catalog's per-shard event rates for the query's classes
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.api.hints import VALID_BACKENDS
 from repro.core.events import Completed, ExecutionControl, ExecutionEvent
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
@@ -50,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
     from repro.core.context import ExecutionContext
     from repro.optimizer.base import PhysicalPlan
+    from repro.optimizer.cost import ParallelismDecision
 
 
 def query_profile(
@@ -107,18 +109,13 @@ class StreamMerger:
                 return
 
 
-#: Backends a parallel execution can run on.
-BACKENDS = ("threads", "processes")
-
-
 def parallel_events(
     plan: "PhysicalPlan",
     context: "ExecutionContext",
     control: ExecutionControl,
-    parallelism: int,
+    decision: "ParallelismDecision",
     stats: "VideoStatistics | None" = None,
     window_chunks: int = DEFAULT_WINDOW_CHUNKS,
-    backend: str = "threads",
 ) -> Iterator[ExecutionEvent]:
     """Run ``plan`` with sharded parallel prefetch; yields the merged stream.
 
@@ -126,20 +123,18 @@ def parallel_events(
     cached per-video context): the prefetcher is attached to it and the RNG
     stream must not be rebound mid-flight.
 
-    ``backend`` selects the worker substrate: ``"threads"`` (the default;
-    right whenever the detector releases the GIL during its latency) or
-    ``"processes"`` (shared-memory columnar transport; right for GIL-bound
-    detectors).  A context that cannot be exported to worker processes — an
-    unpicklable detector, a recorded test day — silently falls back to
-    threads, which is always semantically equivalent.
+    ``decision`` — from :func:`~repro.optimizer.cost.route_parallelism` —
+    fixes the worker count and substrate: ``"threads"`` (right whenever the
+    detector releases the GIL during its latency) or ``"processes"``
+    (shared-memory columnar transport; right for GIL-bound detectors).  The
+    router already probed process exportability and chose threads, with the
+    refusal in its ``reason``, for a context that cannot be exported (an
+    unpicklable detector, a recorded test day); this driver runs exactly
+    what it was handed.
     """
-    if parallelism < 2:
+    if not decision.parallel or decision.backend not in VALID_BACKENDS:
         raise ConfigurationError(
-            f"parallel_events needs parallelism >= 2, got {parallelism}"
-        )
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown parallel backend {backend!r}; expected one of {BACKENDS}"
+            f"parallel_events needs a parallel decision, got {decision.describe()}"
         )
     # Driver wall clock for the whole parallel execution, stamped here so
     # executor construction and worker spawn are inside it — timed_stream's
@@ -153,7 +148,7 @@ def parallel_events(
     index_view = context.index_view
     shard_plan = sharder.shard(
         num_frames=context.video.num_frames,
-        parallelism=parallelism,
+        parallelism=decision.workers,
         stats=stats,
         min_counts=min_counts,
         object_class=object_class,
@@ -163,12 +158,12 @@ def parallel_events(
         sketch=index_view.sketch if index_view is not None else None,
     )
     prefetcher = _build_executor(
-        shard_plan, context, control, window_chunks, backend
+        shard_plan, context, control, window_chunks, decision.backend
     )
     driver_context = context.with_prefetcher(prefetcher)
     merger = StreamMerger(plan.run(driver_context, control), prefetcher)
     return _finalized_events(
-        merger, prefetcher, context, shard_plan, backend, entry
+        merger, prefetcher, context, shard_plan, decision.backend, entry
     )
 
 
@@ -234,21 +229,15 @@ def _build_executor(
 ) -> ShardDriver[Any]:
     """The shard executor for one backend."""
     if backend == "processes":
-        from repro.errors import SpawnExportError
         from repro.parallel.process_executor import ProcessShardExecutor
 
-        try:
-            context_spec = context.spawn_spec()
-        except SpawnExportError:
-            pass  # fall through to the thread backend
-        else:
-            return ProcessShardExecutor(
-                shard_plan=shard_plan,
-                context_spec=context_spec,
-                external_cancel=control.cancellation,
-                chunk_size=control.batch_size,
-                window_chunks=window_chunks,
-            )
+        return ProcessShardExecutor(
+            shard_plan=shard_plan,
+            context_spec=context.spawn_spec(),
+            external_cancel=control.cancellation,
+            chunk_size=control.batch_size,
+            window_chunks=window_chunks,
+        )
 
     seed_sequence = context.seed_sequence
     if seed_sequence is None:
@@ -270,7 +259,6 @@ def _build_executor(
 
 
 __all__ = [
-    "BACKENDS",
     "StreamMerger",
     "parallel_events",
     "query_profile",

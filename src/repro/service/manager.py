@@ -488,8 +488,8 @@ class ServiceManager:
             # The stream draws its seed here, under the admission lock, so
             # RNG ancestry follows admission order exactly.
             stream = prepared.stream(stop=stop, **dict(params or {}))
-            workers = prepared._effective_parallelism(None)
-            slots = max(1, min(workers, self.config.slots))
+            # Charge the workers the routed decision will actually run.
+            slots = max(1, min(stream.parallelism.workers, self.config.slots))
             record = QueryRecord(
                 query_id=f"q{next(self._ids)}",
                 tenant_name=tenant.name,

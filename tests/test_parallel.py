@@ -24,6 +24,7 @@ from repro.catalog.statistics import VideoStatistics
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ConfigurationError
 from repro.parallel.shards import MAX_SHARDS, VideoSharder
+from repro.service.protocol import result_fingerprint
 from repro.specialization.trainer import TrainingConfig
 from repro.video.synthetic import SyntheticVideo
 
@@ -466,12 +467,12 @@ class TestDefaultRoutingDeclinesScrubbing:
 
     Scrubbing scans stop early (importance ranking or a satisfied LIMIT), so
     speculative shard prefetch is a measured wall-clock regression for them.
-    With catalog statistics — the tiny engine has them — the optimizer's
-    ``ParallelismModel`` prices worker startup plus expected prefetch waste
-    against the plan's expected detector work and reaches sequential on the
-    merits; without statistics the plan-level ``parallel_profitable`` gate
-    stands in with the same blanket answer.  An explicit per-call
-    ``parallelism=`` is honoured as given either way.
+    With catalog statistics — the tiny engine has them — the router's cost
+    model prices worker startup plus expected prefetch waste against the
+    plan's expected detector work and reaches sequential on the merits;
+    without statistics the plan-level ``parallel_profitable`` gate stands in
+    with the same blanket answer.  An explicit per-call ``parallelism=`` is
+    honoured as given either way.
     """
 
     def _shard_events(self, stream):
@@ -537,3 +538,116 @@ class TestDefaultRoutingDeclinesScrubbing:
         context = tiny_engine.execution_context("tiny")
         assert plan_scrub.parallel_profitable(context) is False
         assert plan_exact.parallel_profitable(context) is True
+
+
+class GilBoundDetector(SimulatedDetector):
+    """Mask R-CNN simulation that declares itself GIL-bound.
+
+    Module level with value-type state only, so it pickles into process
+    workers; its detections are exactly Mask R-CNN's.
+    """
+
+    gil_bound = True
+
+    def __init__(self):
+        base = SimulatedDetector.mask_rcnn()
+        super().__init__(
+            name=base.name,
+            cost=base.cost,
+            noise=base.noise,
+            confidence_threshold=base.confidence_threshold,
+            supported=base._supported,
+            seed=base.seed,
+        )
+
+
+def _ran(events, result):
+    """``(workers, backend)`` as observed: shard events, then spans."""
+    spans = result.profile.spans
+    (execute,) = [span for span in spans if span.name == "execute"]
+    workers = [span for span in spans if span.name == "shard_worker"]
+    sharded = any(isinstance(event, ShardProgress) for event in events)
+    if not sharded:
+        assert not workers
+        return 1, execute.attributes["backend"]
+    # The execute span and the worker spans must name one backend.
+    assert {span.attributes["backend"] for span in workers} == {
+        execute.attributes["backend"]
+    }
+    return len(workers), execute.attributes["backend"]
+
+
+def _explained(rendered):
+    """``(workers, backend)`` as ``explain()`` renders it."""
+    label = rendered.split(" [", 1)[0]
+    if label == "sequential":
+        return 1, "sequential"
+    backend, workers = label.split(" x ")
+    return int(workers), backend
+
+
+class TestRoutingIdentity:
+    """``explain()`` describes exactly the ``(workers, backend)`` that runs.
+
+    The matrix crosses what the one router reads: catalog statistics present
+    or absent, a recorded (driver-only, unexportable) or spawnable context,
+    a GIL-bound or well-behaved detector, and hint-routed parallelism versus
+    an explicit per-call ``parallelism=4, backend="processes"``.  What ran is
+    read from the stream itself (shard events, the ``execute`` span and the
+    worker spans), never from the decision object alone; results must be
+    byte-identical to sequential execution.
+    """
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["hinted", "explicit"])
+    @pytest.mark.parametrize("gil_bound", [False, True], ids=["gil_free", "gil_bound"])
+    @pytest.mark.parametrize("recorded", [False, True], ids=["spawnable", "recorded"])
+    @pytest.mark.parametrize("stats", [True, False], ids=["stats", "no_stats"])
+    def test_explain_matches_execution(
+        self,
+        tiny_video,
+        tiny_labeled_set,
+        tiny_recorded,
+        engine_config,
+        stats,
+        recorded,
+        gil_bound,
+        explicit,
+    ):
+        detector = GilBoundDetector() if gil_bound else SimulatedDetector.mask_rcnn()
+        engine = BlazeIt(detector=detector, config=engine_config)
+        engine.register_video("tiny", test_video=tiny_video)
+        if stats:
+            engine.attach_labeled_set("tiny", tiny_labeled_set)
+        if recorded:
+            engine.attach_recorded("tiny", tiny_recorded)
+        call = {"parallelism": 4, "backend": "processes"} if explicit else {}
+        hints = None if explicit else QueryHints(parallelism=4)
+        with engine.session(hints=hints) as session:
+            prepared = session.prepare(QUERIES["selection"])
+            explained = prepared.explain(**call).parallelism
+            stream = prepared.stream(rng=np.random.default_rng(42), trace=True, **call)
+            events = list(stream)
+            sequential = prepared.execute(rng=np.random.default_rng(42), parallelism=1)
+        assert _ran(events, stream.result) == _explained(explained), explained
+        assert stream.parallelism.describe() == explained
+        if recorded:
+            assert _explained(explained)[1] != "processes"
+        if recorded and explicit:
+            assert "processes refused" in explained
+            assert "recorded test day" in explained
+        assert result_fingerprint(stream.result) == result_fingerprint(sequential)
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_per_call_batch_size_reaches_explain(self, tiny_engine, batch_size):
+        """The chunk size sizes the modeled speculation, so it can flip the
+        priced verdict (threads x 4 at 1, sequential at 64 for this scan):
+        ``explain(batch_size=)`` must price what ``stream(batch_size=)`` runs."""
+        hints = QueryHints(parallelism=4, force_plan="exhaustive")
+        with tiny_engine.session(hints=hints) as session:
+            prepared = session.prepare(QUERIES["scrubbing"])
+            explained = prepared.explain(batch_size=batch_size).parallelism
+            stream = prepared.stream(
+                rng=np.random.default_rng(1), batch_size=batch_size, trace=True
+            )
+            events = list(stream)
+        assert _ran(events, stream.result) == _explained(explained), explained

@@ -6,7 +6,8 @@ and ledger accounting — because workers only *speculate* (detections are
 recomputed from the exported context spec and published through shared
 memory) while the driver alone charges the ledger on consumption.  On top of
 the identity matrix, this file covers the export rules (recorded contexts
-refuse to spawn and fall back to threads), shard-boundary semantics on the
+refuse to spawn and are routed to threads, with the refusal recorded),
+shard-boundary semantics on the
 process backend, worker crashes (SIGKILL mid-query must degrade to inline
 computation, not hang or corrupt), and shared-memory segment hygiene.
 """
@@ -27,6 +28,7 @@ from repro.core.events import ShardProgress
 from repro.detection.columnar import decode_from_bytes, encode_to_bytes
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ConfigurationError, SpawnExportError
+from repro.obs.metrics import get_registry
 from repro.parallel.shm import SLOT_NAME_PREFIX, SlotRing
 from repro.specialization.trainer import TrainingConfig
 from repro.video.synthetic import SyntheticVideo
@@ -159,8 +161,18 @@ class TestSpawnExport:
             context.spawn_spec()
 
     def test_recorded_engine_falls_back_to_threads(self, tiny_engine):
-        """`backend="processes"` on a recorded engine silently degrades to
-        the thread backend — still sharded, still identical."""
+        """`backend="processes"` on a recorded engine runs on the thread
+        backend — still sharded, still identical — and says so: the
+        decision's reason quotes the export refusal, and the execute span
+        and the shard metrics name the backend that actually ran."""
+        def shards_by_backend():
+            counters = get_registry().snapshot()["counters"]
+            return {
+                backend: counters.get(f'repro_shards_total{{backend="{backend}"}}', 0)
+                for backend in ("threads", "processes")
+            }
+
+        before = shards_by_backend()
         sequential = run(tiny_engine, QUERIES["exact"], parallelism=1)
         with tiny_engine.session() as session:
             stream = session.stream(
@@ -168,11 +180,20 @@ class TestSpawnExport:
                 rng=np.random.default_rng(42),
                 parallelism=4,
                 backend="processes",
+                trace=True,
             )
             events = list(stream)
             result = stream.result
         assert [e for e in events if isinstance(e, ShardProgress)]
         assert fingerprint(result) == fingerprint(sequential)
+        decision = stream.parallelism
+        assert (decision.workers, decision.backend) == (4, "threads")
+        assert "recorded test day" in decision.reason
+        (execute,) = [s for s in result.profile.spans if s.name == "execute"]
+        assert execute.attributes["backend"] == "threads"
+        after = shards_by_backend()
+        assert after["threads"] == before["threads"] + 4
+        assert after["processes"] == before["processes"]
         assert leaked_segments() == []
 
     def test_spec_rebuilds_video_exactly(self, spawn_engine):

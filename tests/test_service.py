@@ -382,7 +382,27 @@ class TestScheduler:
                 "t", hints={"parallelism": 4}
             )
             record = manager.submit(session_id, query="SELECT * FROM v")
+            # Slots follow the routed decision: this scan shards 4 ways.
+            assert record.stream.parallelism.workers == 4
             assert record.slots == 4
+            assert record.done.wait(60.0)
+            assert record.state == COMPLETED
+        finally:
+            manager.shutdown()
+
+    def test_hint_routed_scrubbing_takes_one_slot(self):
+        """The router runs a hint-routed scrub sequentially, so it must not
+        hold the parallelism hint's worth of slots."""
+        manager = ServiceManager(build_engine(), ServiceConfig(slots=4))
+        try:
+            manager.create_tenant("t")
+            session_id = manager.create_session(
+                "t", hints={"parallelism": 4}
+            )
+            query = queries_for(scenario_class())[3]
+            record = manager.submit(session_id, query=query)
+            assert not record.stream.parallelism.parallel
+            assert record.slots == 1
             assert record.done.wait(60.0)
             assert record.state == COMPLETED
         finally:

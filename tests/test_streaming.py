@@ -339,32 +339,6 @@ class TestScrubbingFallbackDedupe:
         assert ledger.detection_cache_hits == 0
 
 
-class TestPlanCursor:
-    def test_cursor_batches_until_exhausted(self, tiny_engine):
-        session = tiny_engine.session()
-        prepared = session.prepare(EXACT_QUERY)
-        cursor = prepared.plan.open(session._context_for("tiny"))
-        events = []
-        while True:
-            batch = cursor.next_batch(3)
-            if not batch:
-                break
-            assert len(batch) <= 3
-            events.extend(batch)
-        assert cursor.exhausted
-        assert isinstance(events[-1], Completed)
-        assert cursor.result is events[-1].result
-
-    def test_cursor_close_cancels(self, tiny_engine):
-        session = tiny_engine.session()
-        prepared = session.prepare(EXACT_QUERY)
-        cursor = prepared.plan.open(session._context_for("tiny"))
-        cursor.next_batch(1)
-        cursor.close()
-        assert cursor.exhausted
-        assert cursor.next_batch() == []
-
-
 class TestSessionStats:
     def test_streams_counted_separately_from_executions(self, tiny_engine):
         session = tiny_engine.session()
